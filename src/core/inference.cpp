@@ -100,8 +100,8 @@ void InferenceEngine::BuildReplicas() {
     t.beta_alias = &rep->beta_alias;
     t.alpha_alias = &rep->alpha_alias;
     t.phi_t = rep->phi_t.data();
-    // Binding a view computes level offsets only — the copied storage
-    // already holds the built tree values.
+    // Binding a view is free — the copied storage already holds the built
+    // leaf prefix.
     t.smooth_tree = IndexTreeView(rep->smooth_storage, model_->num_topics,
                                   cfg_.tree_fanout);
     replicas_[s] = std::move(rep);
@@ -117,8 +117,7 @@ const InferenceEngine::Tables& InferenceEngine::CurrentTables() const {
 
 void InferenceEngine::BuildSmoothingTree() {
   const uint32_t k_topics = model_->num_topics;
-  smooth_storage_.resize(
-      IndexTreeView::StorageSlots(k_topics, cfg_.tree_fanout));
+  smooth_storage_.resize(k_topics);
   smooth_tree_ = IndexTreeView(smooth_storage_, k_topics, cfg_.tree_fanout);
   std::vector<float> terms(k_topics);
   smooth_mass_ = 0;

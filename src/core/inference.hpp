@@ -160,8 +160,6 @@ class InferenceEngine {
   /// p(w | k) under the smoothed trained model.
   double WordGivenTopic(uint32_t word, uint32_t k) const;
 
-  /// Smoothing-bucket mass S = Σ_k α_k·β/(n_k + βV) (model constant).
-  double SmoothingMass() const { return smooth_mass_; }
   /// Word bucket mass W(v) = Σ_k α_k·φ_kv/(n_k + βV).
   double WordMass(uint32_t word) const;
 

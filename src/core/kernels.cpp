@@ -27,7 +27,6 @@ struct SamplerScratch {
   std::vector<float> pstar;
   std::vector<float> p2_tree;
   std::vector<float> p2_vals;
-  std::vector<float> p1_vals;
   std::vector<float> p1_spill;
 };
 thread_local SamplerScratch tl_scratch;
@@ -60,6 +59,19 @@ TreePlacement PlaceTree(gpusim::BlockContext& ctx, std::vector<float>& spill,
   if (spill.size() < slots) spill.resize(slots);
   (void)ctx;
   return {std::span<float>(spill.data(), slots), false};
+}
+
+/// p1(j) = θ_dj · p*(k_j) over the non-zeros of a θ_d row, built straight
+/// into the p1 tree's leaf prefix; returns S = Σ p1. Kept out of line so the
+/// kernel body's register pressure cannot push the accumulator of this
+/// serial add chain onto the stack.
+[[gnu::noinline]] float BuildP1Tree(IndexTreeView& tree,
+                                    std::span<const uint16_t> theta_idx,
+                                    std::span<const int32_t> theta_val,
+                                    const float* pstar) {
+  return tree.BuildWith([&](size_t j) {
+    return static_cast<float>(theta_val[j]) * pstar[theta_idx[j]];
+  });
 }
 
 /// Per-worker scratch for the alias/MH sampling kernel: the per-block word
@@ -455,16 +467,16 @@ gpusim::KernelRecord RunSamplingKernel(
         }
         local.compute_s.global_read_bytes += kd * 4;
 
-        // p1 values and S = Σ p1 (the sparse bucket mass).
-        std::vector<float>& p1_vals = scratch.p1_vals;
-        if (p1_vals.size() < kd) p1_vals.resize(kd);
-        float s_mass = 0;
-        for (uint64_t j = 0; j < kd; ++j) {
-          const float p = static_cast<float>(theta_val[j]) *
-                          pstar[theta_idx[j]];
-          p1_vals[j] = p;
-          s_mass += p;
-        }
+        // Private p1 index tree (Figure 6), spilling past shared capacity.
+        // One pass computes p1 = θ·p*, S = Σ p1 (the sparse bucket mass)
+        // and the tree's leaf prefix.
+        const size_t p1_slots = IndexTreeView::StorageSlots(kd, fanout);
+        const TreePlacement p1_place = PlaceTree(
+            ctx, scratch.p1_spill, p1_slots,
+            cfg.use_shared_trees ? warp_arena : std::span<float>{});
+        IndexTreeView p1_tree(p1_place.storage, kd, fanout);
+        const float s_mass =
+            BuildP1Tree(p1_tree, theta_idx, theta_val, pstar.data());
         local.compute_s.flops += 2 * kd;
         if (cfg.reuse_pstar) {
           local.compute_s.shared_read_bytes += kd * 4;
@@ -484,13 +496,7 @@ gpusim::KernelRecord RunSamplingKernel(
           local.sample_p2.global_write_bytes += p2_slots * 4;
         }
 
-        // Private p1 index tree (Figure 6), spilling past shared capacity.
-        const size_t p1_slots = IndexTreeView::StorageSlots(kd, fanout);
-        const TreePlacement p1_place = PlaceTree(
-            ctx, scratch.p1_spill, p1_slots,
-            cfg.use_shared_trees ? warp_arena : std::span<float>{});
-        IndexTreeView p1_tree(p1_place.storage, kd, fanout);
-        p1_tree.Build(std::span<const float>(p1_vals.data(), kd));
+        // The p1 tree build, billed at the device tree's full footprint.
         local.sample_p1.flops += kd;
         if (p1_place.in_shared) {
           local.sample_p1.shared_write_bytes += p1_slots * 4;

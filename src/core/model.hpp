@@ -57,12 +57,6 @@ struct PhiReplica {
   PhiReplica(uint32_t k, uint32_t v)
       : num_topics(k), vocab_size(v), phi(k, v), nk(k, 0) {}
 
-  uint64_t PhiBytes(const CuldaConfig& cfg) const {
-    return static_cast<uint64_t>(num_topics) * vocab_size *
-               cfg.phi_count_bytes() +
-           nk.size() * sizeof(int32_t);
-  }
-
   /// Recomputes n_k from φ (host-side reference; the kernel variant bills
   /// its traffic through the device).
   void RecomputeTotals() {

@@ -62,7 +62,6 @@ class BlockContext {
   /// Section 6.1.2).
   void ReadL1(uint64_t bytes) { counters_.l1_read_bytes += bytes; }
   void WriteGlobal(uint64_t bytes) { counters_.global_write_bytes += bytes; }
-  void ReadShared(uint64_t bytes) { counters_.shared_read_bytes += bytes; }
   void WriteShared(uint64_t bytes) { counters_.shared_write_bytes += bytes; }
   void Flops(uint64_t n) { counters_.flops += n; }
   void IntOps(uint64_t n) { counters_.int_ops += n; }

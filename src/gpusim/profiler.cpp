@@ -129,8 +129,10 @@ void WriteMergedChromeTrace(const DeviceGroup& group,
                           std::to_string(device.id()) + ")"});
     std::set<int> streams;
     for (const auto& rec : device.trace()) {
+      // Device kernels carry no request context and no cross-trace link.
       events.push_back({rec.name, device.id(), rec.stream_id, rec.start_s,
-                        rec.end_s - rec.start_s});
+                        rec.end_s - rec.start_s, obs::TraceContext{},
+                        /*link_span_id=*/0});
       streams.insert(rec.stream_id);
     }
     for (const int s : streams) {

@@ -44,7 +44,6 @@ inline std::atomic<bool>& EnabledFlag() {
 typedef uint64_t U64x4 __attribute__((vector_size(32)));
 typedef int16_t I16x8 __attribute__((vector_size(16)));
 typedef int32_t I32x8 __attribute__((vector_size(32)));
-typedef float F32x8 __attribute__((vector_size(32)));
 typedef double F64x4 __attribute__((vector_size(32)));
 
 /// Any nonzero bit in a 32-byte block (unaligned).
@@ -159,33 +158,6 @@ inline void AccumulateNonZeroU16(const uint16_t* row, int32_t* acc, size_t n) {
 }
 
 // ---- Element-wise float ops (no reassociation) ------------------------------
-
-/// out[i] = s * in[i] — the p2(k) = α·p*(k) batch feeding the index-tree
-/// build. One multiply per element in both variants, so bit-identical.
-inline void ScaleF32Scalar(const float* in, float s, float* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = s * in[i];
-}
-
-inline void ScaleF32Simd(const float* in, float s, float* out, size_t n) {
-  constexpr size_t kLanes = 8;
-  const detail::F32x8 sv = {s, s, s, s, s, s, s, s};
-  size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    detail::F32x8 v;
-    std::memcpy(&v, in + i, sizeof(v));
-    v *= sv;
-    std::memcpy(out + i, &v, sizeof(v));
-  }
-  ScaleF32Scalar(in + i, s, out + i, n - i);
-}
-
-inline void ScaleF32(const float* in, float s, float* out, size_t n) {
-  if (Enabled()) {
-    ScaleF32Simd(in, s, out, n);
-  } else {
-    ScaleF32Scalar(in, s, out, n);
-  }
-}
 
 /// out[i] = float(s * in[i]) — the smoothing-bucket term batch
 /// p*(k) = α·β·inv_denom[k] narrowed to the tree's float leaves. One double

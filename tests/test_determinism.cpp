@@ -5,9 +5,12 @@
 // results of Figure 9 directly comparable to the single-GPU runs.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "core/evaluator.hpp"
 #include "core/trainer.hpp"
 #include "corpus/synthetic.hpp"
+#include "util/thread_pool.hpp"
 
 namespace culda::core {
 namespace {
@@ -177,6 +180,119 @@ TEST(Determinism, MultiWorkerPoolIdenticalWs2) {
   EXPECT_EQ(a.z, b.z);
   EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_EQ(a.sim_seconds, b.sim_seconds);
+}
+
+
+/// Exact-sampler output pinned to captured values: the FNV-1a checksum of z,
+/// the per-iteration simulated seconds, and every billed per-step counter.
+/// Any change to the tree sampler's host representation must leave all of
+/// them bit-identical — at any worker count, with p1 trees spilling out of
+/// shared memory, and at a non-power-of-two fanout.
+struct PinnedRun {
+  uint64_t z_fnv = 0;
+  std::vector<double> sim_seconds;
+  /// bytes and flops of compute_s, compute_q, sample_p1, sample_p2, then
+  /// p1_branches and p1_tree_spills.
+  std::vector<uint64_t> counters;
+};
+
+PinnedRun TrainPinned(const CuldaConfig& cfg, size_t workers) {
+  corpus::SyntheticProfile p;
+  p.num_docs = 300;
+  p.vocab_size = 400;
+  p.avg_doc_length = 60;
+  const auto c = corpus::GenerateCorpus(p);
+  ThreadPool pool(workers);
+  TrainerOptions opts;
+  opts.gpus.assign(2, gpusim::V100Volta());
+  opts.collect_step_counters = true;
+  if (workers > 0) opts.pool = &pool;
+  CuldaTrainer trainer(c, cfg, opts);
+  PinnedRun run;
+  for (const IterationStats& st : trainer.Train(3)) {
+    run.sim_seconds.push_back(st.sim_seconds);
+  }
+  run.z_fnv = 1469598103934665603ull;
+  for (const uint16_t z : trainer.ExportAssignments()) {
+    run.z_fnv = (run.z_fnv ^ z) * 1099511628211ull;
+  }
+  const SamplingStepCounters& s = trainer.step_counters();
+  for (const gpusim::KernelCounters* k :
+       {&s.compute_s, &s.compute_q, &s.sample_p1, &s.sample_p2}) {
+    run.counters.insert(run.counters.end(),
+                        {k->global_read_bytes, k->l1_read_bytes,
+                         k->global_write_bytes, k->shared_read_bytes,
+                         k->shared_write_bytes, k->flops});
+  }
+  run.counters.push_back(s.p1_branches);
+  run.counters.push_back(s.p1_tree_spills);
+  return run;
+}
+
+void ExpectPinned(const CuldaConfig& cfg, const PinnedRun& want) {
+  for (const size_t workers : {size_t{0}, size_t{3}}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    const PinnedRun got = TrainPinned(cfg, workers);
+    EXPECT_EQ(got.z_fnv, want.z_fnv);
+    EXPECT_EQ(got.sim_seconds, want.sim_seconds);  // bit-identical doubles
+    EXPECT_EQ(got.counters, want.counters);
+    if (testing::Test::HasFailure()) {
+      std::printf("z_fnv=%llu\n", static_cast<unsigned long long>(got.z_fnv));
+      for (const double s : got.sim_seconds) std::printf("sim %a\n", s);
+      for (const uint64_t v : got.counters) {
+        std::printf("ctr %llu\n", static_cast<unsigned long long>(v));
+      }
+    }
+  }
+}
+
+/// K = 100 gives the p2 tree (and long documents' p1 trees) two levels even
+/// at fanout 32.
+CuldaConfig PinnedConfig() {
+  CuldaConfig cfg;
+  cfg.num_topics = 100;
+  return cfg;
+}
+
+TEST(TreeSamplerPinned, SharedTreesFanout32) {
+  const CuldaConfig cfg = PinnedConfig();
+  const PinnedRun want{
+      7985053579215119234ull,
+      {0x1.0921f2796d77cp-14, 0x1.070dfdba4fe5p-14, 0x1.05ef85fac372p-14},
+      {9463372, 4731686, 0, 9463372, 0, 4833914,  // compute_s
+       391200, 782400, 0, 0, 0, 586800,           // compute_q
+       0, 0, 0, 1871584, 9810648, 2833739,        // sample_p1
+       0, 0, 0, 1532972, 813696, 774443,          // sample_p2
+       29846, 0}};                                // p1_branches, p1_tree_spills
+  ExpectPinned(cfg, want);
+}
+
+TEST(TreeSamplerPinned, SpilledP1Trees) {
+  CuldaConfig cfg = PinnedConfig();
+  cfg.use_shared_trees = false;
+  const PinnedRun want{
+      7985053579215119234ull,
+      {0x1.23e538c4f392ap-14, 0x1.1fbcbfa087ddap-14, 0x1.1d6989f3d018p-14},
+      {9463372, 4731686, 0, 9463372, 0, 4833914,  // compute_s
+       391200, 782400, 0, 0, 0, 586800,           // compute_q
+       1871584, 0, 9810648, 0, 0, 2833739,        // sample_p1
+       0, 0, 0, 1532972, 813696, 774443,          // sample_p2
+       29846, 51114}};                            // p1_branches, p1_tree_spills
+  ExpectPinned(cfg, want);
+}
+
+TEST(TreeSamplerPinned, NonPowerOfTwoFanout) {
+  CuldaConfig cfg = PinnedConfig();
+  cfg.tree_fanout = 3;
+  const PinnedRun want{
+      7985053579215119234ull,
+      {0x1.0921f2796d77cp-14, 0x1.070dfdba4fe5p-14, 0x1.05ef85fac372p-14},
+      {9463372, 4731686, 0, 9463372, 0, 4833914,  // compute_s
+       391200, 782400, 0, 0, 0, 586800,           // compute_q
+       0, 0, 0, 861980, 14267448, 2581338,        // sample_p1
+       0, 0, 0, 756988, 1189248, 580447,          // sample_p2
+       29846, 0}};                                // p1_branches, p1_tree_spills
+  ExpectPinned(cfg, want);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/index_tree.hpp"
@@ -31,6 +32,56 @@ std::vector<float> RandomDistribution(size_t n, uint64_t seed,
   }
   return p;
 }
+
+/// Reference: the F-ary tree materialised level by level — level l+1 holds
+/// the last prefix value of each group of F level-l entries — and searched
+/// top-down the way a warp walks it, scanning a group of siblings until the
+/// first entry > u (the group's last entry when none is, absorbing
+/// round-off). Yields the chosen leaf and the number of entries inspected.
+class MaterialisedTree {
+ public:
+  MaterialisedTree(const std::vector<float>& p, uint32_t fanout)
+      : fanout_(fanout) {
+    std::vector<float> level(p.size());
+    float acc = 0;
+    for (size_t i = 0; i < p.size(); ++i) level[i] = acc += p[i];
+    levels_.push_back(level);
+    while (levels_.back().size() > fanout) {
+      const std::vector<float>& below = levels_.back();
+      std::vector<float> up;
+      for (size_t g = 0; g * fanout < below.size(); ++g) {
+        up.push_back(below[std::min(below.size(), (g + 1) * fanout) - 1]);
+      }
+      levels_.push_back(std::move(up));
+    }
+  }
+
+  size_t levels() const { return levels_.size(); }
+
+  std::pair<size_t, uint64_t> Search(float u) const {
+    uint64_t inspected = 0;
+    size_t begin = 0;
+    for (size_t l = levels_.size(); l-- > 0;) {
+      const std::vector<float>& level = levels_[l];
+      const size_t end = std::min(level.size(), begin + fanout_);
+      size_t chosen = end - 1;
+      for (size_t i = begin; i < end; ++i) {
+        ++inspected;
+        if (level[i] > u) {
+          chosen = i;
+          break;
+        }
+      }
+      if (l == 0) return {chosen, inspected};
+      begin = chosen * fanout_;
+    }
+    return {0, inspected};  // unreachable: there is always a leaf level
+  }
+
+ private:
+  uint32_t fanout_;
+  std::vector<std::vector<float>> levels_;
+};
 
 struct TreeCase {
   size_t n;
@@ -74,6 +125,41 @@ TEST_P(IndexTreeSweep, BoundaryDraws) {
   }
 }
 
+TEST_P(IndexTreeSweep, ComparisonsMatchTopDownWalk) {
+  // The view keeps only the leaves; the F-ary walk it bills must still be
+  // the walk over the materialised tree, draw for draw. Half the
+  // distributions carry runs of zero probabilities (plateaus in the prefix).
+  const auto [n, fanout] = GetParam();
+  for (const double zero_fraction : {0.0, 0.6}) {
+    auto p = RandomDistribution(n, 7 + n * 5 + fanout, zero_fraction);
+    p[n / 2] += 1.0f;  // keep the mass positive
+    IndexTree tree(n, fanout);
+    const float total = tree.view().Build(p);
+    const MaterialisedTree reference(p, fanout);
+    ASSERT_EQ(tree.view().levels(), reference.levels());
+
+    std::vector<float> draws{0.0f, total, total * 2};
+    for (size_t k = 0; k < n; ++k) {
+      const float prefix = tree.view().PrefixAt(k);
+      draws.push_back(prefix);
+      draws.push_back(std::nextafter(prefix, 0.0f));
+      draws.push_back(std::nextafter(prefix, 2 * total));
+    }
+    PhiloxStream rng(9, n * 31 + fanout);
+    for (int i = 0; i < 300; ++i) draws.push_back(rng.NextFloat() * total);
+
+    for (const float u : draws) {
+      uint64_t comparisons = 0;
+      const size_t k = tree.view().Search(u, &comparisons);
+      const auto [want_k, want_comparisons] = reference.Search(u);
+      ASSERT_EQ(k, want_k) << "n=" << n << " fanout=" << fanout
+                           << " u=" << u;
+      ASSERT_EQ(comparisons, want_comparisons)
+          << "n=" << n << " fanout=" << fanout << " u=" << u;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SizesAndFanouts, IndexTreeSweep,
     ::testing::Values(TreeCase{1, 32}, TreeCase{2, 2}, TreeCase{5, 2},
@@ -81,7 +167,9 @@ INSTANTIATE_TEST_SUITE_P(
                       TreeCase{100, 8}, TreeCase{256, 32}, TreeCase{256, 2},
                       TreeCase{1000, 32}, TreeCase{1024, 32},
                       TreeCase{4096, 32}, TreeCase{65536, 32},
-                      TreeCase{513, 8}),
+                      TreeCase{513, 8}, TreeCase{3, 3}, TreeCase{10, 3},
+                      TreeCase{28, 3}, TreeCase{730, 3}, TreeCase{5, 5},
+                      TreeCase{126, 5}, TreeCase{1000, 5}),
     [](const auto& info) {
       return "n" + std::to_string(info.param.n) + "_f" +
              std::to_string(info.param.fanout);
