@@ -1,6 +1,7 @@
 #include "core/sync.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "util/check.hpp"
 
@@ -42,8 +43,27 @@ void BillAddKernel(gpusim::Device& device, const CuldaConfig& cfg,
 
 }  // namespace
 
+const char* DistModeName(DistMode mode) {
+  switch (mode) {
+    case DistMode::kSync:
+      return "sync";
+    case DistMode::kAsync:
+      return "async";
+  }
+  return "?";
+}
+
+DistMode ParseDistMode(std::string_view name) {
+  if (name == "sync") return DistMode::kSync;
+  if (name == "async") return DistMode::kAsync;
+  throw Error(
+      "--dist must be one of: sync (per-sweep inter-node all-reduce), async "
+      "(nomadic shard circulation); got '" +
+      std::string(name) + "'");
+}
+
 SyncStats SynchronizePhi(gpusim::DeviceGroup& group, const CuldaConfig& cfg,
-                         std::vector<PhiReplica>& replicas, SyncMode mode) {
+                         std::span<PhiReplica> replicas, SyncMode mode) {
   const size_t g_count = group.size();
   CULDA_CHECK(replicas.size() == g_count);
   SyncStats stats;
@@ -111,123 +131,32 @@ SyncStats SynchronizePhi(gpusim::DeviceGroup& group, const CuldaConfig& cfg,
   return stats;
 }
 
-namespace {
-
-/// Shared head of both multi-node overloads: intra-node reduce on every
-/// group (leaves every local replica holding the node sum; reusing
-/// SynchronizePhi keeps one code path — the extra broadcast is counted in
-/// the tail's favour since the tail then only re-broadcasts deltas).
-/// Returns {intra_start, intra_end} on the shared timeline.
-std::pair<double, double> IntraNodeReduce(
-    std::vector<gpusim::DeviceGroup*>& node_groups, const CuldaConfig& cfg,
-    std::vector<std::vector<PhiReplica>*>& node_replicas) {
-  double intra_start = 0, intra_end = 0;
-  for (size_t n = 0; n < node_groups.size(); ++n) {
-    intra_start = std::max(intra_start, node_groups[n]->Now());
-    SynchronizePhi(*node_groups[n], cfg, *node_replicas[n],
-                   SyncMode::kGpuTree);
-    intra_end = std::max(intra_end, node_groups[n]->Now());
-  }
-  return {intra_start, intra_end};
-}
-
-/// Functional inter-node sum: adds every node's replica 0 into node 0's.
-/// Returns a reference to the summed global matrix.
-PhiMatrix& SumNodeReplicas(
-    std::vector<std::vector<PhiReplica>*>& node_replicas) {
-  PhiMatrix& global = (*node_replicas[0])[0].phi;
-  for (size_t n = 1; n < node_replicas.size(); ++n) {
-    const auto src = (*node_replicas[n])[0].phi.flat();
-    auto dst = global.flat();
-    for (size_t i = 0; i < dst.size(); ++i) {
-      const uint32_t sum = static_cast<uint32_t>(dst[i]) + src[i];
-      CULDA_CHECK_MSG(sum <= 0xFFFF, "phi overflow in multi-node sync");
-      dst[i] = static_cast<uint16_t>(sum);
-    }
-  }
-  return global;
-}
-
-/// Shared tail: install `global` on every replica, align every device to
-/// `end`, bill one intra-node broadcast round, and return the final time.
-double BroadcastWithinNodes(std::vector<gpusim::DeviceGroup*>& node_groups,
-                            std::vector<std::vector<PhiReplica>*>&
-                                node_replicas,
-                            PhiMatrix& global, uint64_t bytes, double end) {
-  for (size_t n = 0; n < node_groups.size(); ++n) {
-    for (auto& replica : *node_replicas[n]) {
-      if (&replica.phi != &global) replica.phi = global;
-    }
-    for (size_t g = 0; g < node_groups[n]->size(); ++g) {
-      node_groups[n]->device(g).stream(0).WaitUntil(end);
-    }
-    // One intra-node broadcast round over the peer link.
-    if (node_groups[n]->size() > 1) {
-      node_groups[n]->PeerTransfer(0, 1, bytes);
-    }
-    node_groups[n]->Barrier();
-    end = std::max(end, node_groups[n]->Now());
-  }
-  return end;
-}
-
-uint64_t GlobalPhiBytes(const CuldaConfig& cfg,
-                        std::vector<std::vector<PhiReplica>*>&
-                            node_replicas) {
-  return static_cast<uint64_t>((*node_replicas[0])[0].num_topics) *
-         (*node_replicas[0])[0].vocab_size * cfg.phi_count_bytes();
-}
-
-}  // namespace
-
 MultiNodeSyncStats SynchronizePhiAcrossNodes(
-    std::vector<gpusim::DeviceGroup*> node_groups, const CuldaConfig& cfg,
-    std::vector<std::vector<PhiReplica>*> node_replicas,
-    const gpusim::LinkSpec& network) {
+    std::span<gpusim::DeviceGroup> node_groups, const CuldaConfig& cfg,
+    std::span<PhiReplica> replicas, gpusim::Fabric& fabric) {
   const size_t nodes = node_groups.size();
   CULDA_CHECK(nodes >= 1);
-  CULDA_CHECK(node_replicas.size() == nodes);
-
-  MultiNodeSyncStats stats;
-  const uint64_t bytes = GlobalPhiBytes(cfg, node_replicas);
-  const auto [intra_start, intra_end] =
-      IntraNodeReduce(node_groups, cfg, node_replicas);
-  stats.intra_node_s = intra_end - intra_start;
-  if (nodes == 1) {
-    stats.seconds = stats.intra_node_s;
-    return stats;
-  }
-
-  // Inter-node ring all-reduce of the node sums: each node sends and
-  // receives 2·(N−1)/N of the model. Every node's NIC is busy the whole
-  // time, so the wall cost is that volume over one link.
-  const uint64_t ring_bytes = 2 * bytes * (nodes - 1) / nodes;
-  stats.network_bytes = ring_bytes * nodes;
-  stats.inter_node_s = network.TransferSeconds(ring_bytes);
-
-  PhiMatrix& global = SumNodeReplicas(node_replicas);
-  const double end =
-      BroadcastWithinNodes(node_groups, node_replicas, global, bytes,
-                           intra_end + stats.inter_node_s);
-  stats.seconds = end - intra_start;
-  return stats;
-}
-
-MultiNodeSyncStats SynchronizePhiAcrossNodes(
-    std::vector<gpusim::DeviceGroup*> node_groups, const CuldaConfig& cfg,
-    std::vector<std::vector<PhiReplica>*> node_replicas,
-    gpusim::Fabric& fabric) {
-  const size_t nodes = node_groups.size();
-  CULDA_CHECK(nodes >= 1);
-  CULDA_CHECK(node_replicas.size() == nodes);
+  const size_t g_count = node_groups[0].size();
+  for (const auto& group : node_groups) CULDA_CHECK(group.size() == g_count);
+  CULDA_CHECK(replicas.size() == nodes * g_count);
   CULDA_CHECK_MSG(fabric.size() == nodes,
                   "fabric has " << fabric.size() << " endpoints but "
                                 << nodes << " node groups were passed");
 
   MultiNodeSyncStats stats;
-  const uint64_t bytes = GlobalPhiBytes(cfg, node_replicas);
-  const auto [intra_start, intra_end] =
-      IntraNodeReduce(node_groups, cfg, node_replicas);
+  const uint64_t bytes = static_cast<uint64_t>(replicas[0].num_topics) *
+                         replicas[0].vocab_size * cfg.phi_count_bytes();
+  // Intra-node reduce on every group: leaves every local replica holding the
+  // node sum (reusing SynchronizePhi keeps one code path — the extra
+  // broadcast is counted in the tail's favour since the tail then only
+  // re-broadcasts deltas).
+  double intra_start = 0, intra_end = 0;
+  for (size_t n = 0; n < nodes; ++n) {
+    intra_start = std::max(intra_start, node_groups[n].Now());
+    SynchronizePhi(node_groups[n], cfg, replicas.subspan(n * g_count, g_count),
+                   SyncMode::kGpuTree);
+    intra_end = std::max(intra_end, node_groups[n].Now());
+  }
   stats.intra_node_s = intra_end - intra_start;
   if (nodes == 1) {
     stats.seconds = stats.intra_node_s;
@@ -244,7 +173,7 @@ MultiNodeSyncStats SynchronizePhiAcrossNodes(
   const uint64_t payload_before = fabric.payload_bytes();
   const uint64_t segment = (bytes + nodes - 1) / nodes;
   std::vector<double> clock(nodes, 0.0);
-  for (size_t n = 0; n < nodes; ++n) clock[n] = node_groups[n]->Now();
+  for (size_t n = 0; n < nodes; ++n) clock[n] = node_groups[n].Now();
   for (size_t step = 0; step < 2 * (nodes - 1); ++step) {
     std::vector<double> arrival(nodes, 0.0);
     for (size_t n = 0; n < nodes; ++n) {
@@ -260,8 +189,23 @@ MultiNodeSyncStats SynchronizePhiAcrossNodes(
   stats.network_bytes = fabric.payload_bytes() - payload_before;
   stats.inter_node_s = end - intra_end;
 
-  PhiMatrix& global = SumNodeReplicas(node_replicas);
-  end = BroadcastWithinNodes(node_groups, node_replicas, global, bytes, end);
+  // Functional inter-node sum: every node's first replica into node 0's.
+  PhiMatrix& global = replicas[0].phi;
+  for (size_t n = 1; n < nodes; ++n) {
+    AddReplica(global, replicas[n * g_count].phi);
+  }
+
+  // Install the global sum on every replica, align every device to `end`,
+  // and bill one intra-node broadcast round over each node's peer link.
+  for (auto& replica : replicas.subspan(1)) replica.phi = global;
+  for (size_t n = 0; n < nodes; ++n) {
+    for (size_t g = 0; g < g_count; ++g) {
+      node_groups[n].device(g).stream(0).WaitUntil(end);
+    }
+    if (g_count > 1) node_groups[n].PeerTransfer(0, 1, bytes);
+    node_groups[n].Barrier();
+    end = std::max(end, node_groups[n].Now());
+  }
   stats.seconds = end - intra_start;
   return stats;
 }

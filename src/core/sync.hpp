@@ -7,7 +7,9 @@
 // alternative the paper rejects is kept as an ablation mode (DESIGN A5).
 #pragma once
 
-#include <vector>
+#include <cstdint>
+#include <span>
+#include <string_view>
 
 #include "core/config.hpp"
 #include "core/model.hpp"
@@ -33,20 +35,41 @@ struct SyncStats {
 /// after, which the trainer overlaps with the θ update).
 /// `replicas.size()` must equal `group.size()`.
 SyncStats SynchronizePhi(gpusim::DeviceGroup& group, const CuldaConfig& cfg,
-                         std::vector<PhiReplica>& replicas,
+                         std::span<PhiReplica> replicas,
                          SyncMode mode = SyncMode::kGpuTree);
 
+/// Inter-node φ exchange strategy of an N-node trainer (docs/distributed.md).
+enum class DistMode {
+  kSync,   ///< per-sweep inter-node all-reduce (bulk-synchronous)
+  kAsync,  ///< nomadic shard circulation with bounded staleness
+};
+
+const char* DistModeName(DistMode mode);
+
+/// Parses "sync" or "async". Throws culda::Error echoing the bad value and
+/// every accepted spelling.
+DistMode ParseDistMode(std::string_view name);
+
+/// staleness_bound value meaning "never force a refresh" (the natural cap is
+/// N−1 rounds: a shard is refreshed whenever it becomes resident).
+inline constexpr uint32_t kUnboundedStaleness = UINT32_MAX;
+
 /// Extension (the paper's "comparable or better than distributed systems"
-/// thesis, made quantitative): hierarchical φ synchronization across
-/// `num_nodes` machines, each holding `group.size()` GPUs. Per iteration:
+/// thesis, made quantitative): hierarchical φ synchronization across the
+/// machines of `node_groups`, each holding G GPUs. Per iteration:
 ///   1. intra-node reduce tree over the local PCIe/NVLink (as above),
-///   2. inter-node all-reduce of the node sums over `network`
-///      (ring-style: 2·(N−1)/N of the model in and out of every node),
+///   2. inter-node ring all-reduce of the node sums, billed segment by
+///      segment through `fabric`: 2·(N−1) steps, each node forwarding a 1/N
+///      model segment to its successor, so per-link LinkSpec overrides, ring
+///      store-and-forward routing and link contention all land in the
+///      returned time,
 ///   3. intra-node broadcast.
-/// `node_replicas[n]` holds node n's GPU replicas; every group is assumed
-/// identical (the paper's homogeneous platforms). Returns the sync time —
-/// this is the quantity that makes multi-node LDA unattractive versus one
-/// multi-GPU box at 10 Gb/s Ethernet.
+/// `replicas` holds all N·G replicas node-major (node n, GPU g at n·G + g);
+/// every group must have the same size (the paper's homogeneous platforms)
+/// and `fabric.size()` must equal the node count. Node clocks are read and
+/// advanced in cluster-absolute time (callers keep all groups on one shared
+/// timeline). The sync time is the quantity that makes multi-node LDA
+/// unattractive versus one multi-GPU box at 10 Gb/s Ethernet.
 struct MultiNodeSyncStats {
   double seconds = 0;
   double intra_node_s = 0;
@@ -55,20 +78,7 @@ struct MultiNodeSyncStats {
 };
 
 MultiNodeSyncStats SynchronizePhiAcrossNodes(
-    std::vector<gpusim::DeviceGroup*> node_groups, const CuldaConfig& cfg,
-    std::vector<std::vector<PhiReplica>*> node_replicas,
-    const gpusim::LinkSpec& network);
-
-/// Fabric-routed variant: the inter-node exchange runs as an explicit ring
-/// all-reduce — 2·(N−1) steps, each node forwarding a 1/N model segment to
-/// its successor — billed segment by segment through `fabric`, so per-link
-/// LinkSpec overrides, ring store-and-forward routing, and link contention
-/// all land in the returned time. Node clocks are read and advanced in
-/// cluster-absolute time (callers keep all groups on one shared timeline).
-/// `fabric.size()` must equal `node_groups.size()`.
-MultiNodeSyncStats SynchronizePhiAcrossNodes(
-    std::vector<gpusim::DeviceGroup*> node_groups, const CuldaConfig& cfg,
-    std::vector<std::vector<PhiReplica>*> node_replicas,
-    gpusim::Fabric& fabric);
+    std::span<gpusim::DeviceGroup> node_groups, const CuldaConfig& cfg,
+    std::span<PhiReplica> replicas, gpusim::Fabric& fabric);
 
 }  // namespace culda::core

@@ -48,16 +48,23 @@ struct alignas(64) DevicePartial {
   SamplingStepCounters steps;
 };
 
+std::vector<gpusim::DeviceGroup> MakeNodes(const TrainerOptions& opts) {
+  CULDA_CHECK_MSG(opts.num_nodes >= 1, "num_nodes must be >= 1");
+  CULDA_CHECK_MSG(!opts.gpus.empty(), "need at least one GPU per node");
+  std::vector<gpusim::DeviceGroup> nodes;
+  nodes.reserve(opts.num_nodes);
+  const int g_count = static_cast<int>(opts.gpus.size());
+  for (uint32_t n = 0; n < opts.num_nodes; ++n) {
+    nodes.emplace_back(opts.gpus, opts.peer_link, opts.pool,
+                       static_cast<int>(n) * g_count);
+  }
+  return nodes;
+}
+
 }  // namespace
 
 void CuldaTrainer::ForEachDevice(const std::function<void(size_t)>& fn) {
-  const size_t g_count = group_.size();
-  if (opts_.pool != nullptr && opts_.pool->worker_count() > 0 &&
-      g_count > 1) {
-    opts_.pool->ParallelFor(g_count, fn);
-  } else {
-    for (size_t g = 0; g < g_count; ++g) fn(g);
-  }
+  core::ForEachDevice(opts_.pool, num_gpus(), fn);
 }
 
 CuldaTrainer::CuldaTrainer(const corpus::Corpus& corpus, CuldaConfig cfg,
@@ -65,7 +72,8 @@ CuldaTrainer::CuldaTrainer(const corpus::Corpus& corpus, CuldaConfig cfg,
     : corpus_(&corpus),
       cfg_(cfg),
       opts_(std::move(opts)),
-      group_(opts_.gpus, opts_.peer_link, opts_.pool) {
+      nodes_(MakeNodes(opts_)),
+      fabric_(opts_.num_nodes, opts_.topology, opts_.network) {
   cfg_.Validate();
   CULDA_CHECK_MSG(corpus.num_tokens() > 0, "cannot train on an empty corpus");
   // φ counts are 16-bit (§6.1.3) and the synced replica holds *global*
@@ -86,27 +94,39 @@ CuldaTrainer::CuldaTrainer(const corpus::Corpus& corpus, CuldaConfig cfg,
   }
 
   ChooseM();
+  CULDA_CHECK_MSG(
+      m_ == 1 || !IsNomadic(),
+      "--dist=async needs one chunk per GPU, got M = "
+          << m_ << (opts_.chunks_per_gpu > 0 ? "" : " (chosen automatically)")
+          << ": nomadic circulation keeps chunks resident while the phi "
+             "shards move between nodes");
   BuildChunks();
-  InitializeModel();
+  if (IsNomadic()) {
+    nomadic_ = std::make_unique<NomadicCirculation>(
+        corpus, opts_.num_nodes, opts_.staleness_bound, opts_.sampler,
+        opts_.mh_cycles, opts_.pool, chunks_);
+  }
+  RebuildCountsFromZ();
 
   // Iteration timing starts now; setup (preprocessing + initial counts) is
   // excluded, as in the paper's per-iteration measurements.
-  group_.ResetTime();
-  for (size_t g = 0; g < group_.size(); ++g) {
-    group_.device(g).ResetProfile();
+  for (auto& node : nodes_) {
+    node.ResetTime();
+    for (size_t g = 0; g < node.size(); ++g) node.device(g).ResetProfile();
   }
-  last_transfer_s_.assign(group_.size(), 0.0);
+  fabric_.Reset();
+  last_transfer_s_.assign(num_gpus(), 0.0);
 }
 
 void CuldaTrainer::ChooseM() {
-  const uint32_t g_count = static_cast<uint32_t>(group_.size());
+  const uint32_t d_count = num_gpus();
   const uint64_t phi_bytes =
       2 * PhiFootprintBytes(cfg_, corpus_->vocab_size());
-  // All devices in a group are identical in the paper's platforms; use the
-  // smallest capacity to be safe with heterogeneous specs.
-  uint64_t capacity = group_.device(0).spec().memory_bytes;
-  for (size_t g = 1; g < group_.size(); ++g) {
-    capacity = std::min(capacity, group_.device(g).spec().memory_bytes);
+  // All devices are identical in the paper's platforms; use the smallest
+  // capacity to be safe with heterogeneous specs.
+  uint64_t capacity = UINT64_MAX;
+  for (const gpusim::DeviceSpec& spec : opts_.gpus) {
+    capacity = std::min(capacity, spec.memory_bytes);
   }
   CULDA_CHECK_MSG(phi_bytes < capacity,
                   "φ model alone exceeds device memory; reduce K or V");
@@ -116,7 +136,7 @@ void CuldaTrainer::ChooseM() {
     return;
   }
   for (uint32_t m = 1; m <= 4096; ++m) {
-    const uint32_t c = m * g_count;
+    const uint32_t c = m * d_count;
     const uint64_t chunk = EstimateChunkBytes(
         corpus_->num_tokens() / c + 1, corpus_->num_docs() / c + 1,
         corpus_->vocab_size(), cfg_);
@@ -131,7 +151,8 @@ void CuldaTrainer::ChooseM() {
 }
 
 void CuldaTrainer::BuildChunks() {
-  const uint32_t c_count = m_ * static_cast<uint32_t>(group_.size());
+  const uint32_t d_count = num_gpus();
+  const uint32_t c_count = m_ * d_count;
   const auto specs = corpus::PartitionByTokens(*corpus_, c_count);
   chunks_.clear();
   chunks_.reserve(specs.size());
@@ -157,13 +178,14 @@ void CuldaTrainer::BuildChunks() {
 
   // Charge resident footprints against device capacity. WS1 keeps all of a
   // GPU's chunks resident; WS2 keeps two chunk slots (double buffer). φ is
-  // double-buffered (read replica + accumulator).
+  // double-buffered (read replica + accumulator). The nomadic exchange owns
+  // its φ copies instead (one canonical plus one view per node).
   replicas_.clear();
   accum_.clear();
   footprints_.clear();
-  const uint32_t g_count = static_cast<uint32_t>(group_.size());
-  for (uint32_t g = 0; g < g_count; ++g) {
-    gpusim::Device& dev = group_.device(g);
+  if (IsNomadic()) return;
+  for (uint32_t g = 0; g < d_count; ++g) {
+    gpusim::Device& dev = device(g);
     replicas_.emplace_back(cfg_.num_topics, corpus_->vocab_size());
     accum_.emplace_back(cfg_.num_topics, corpus_->vocab_size());
     footprints_.push_back(dev.Alloc<std::byte>(
@@ -175,7 +197,7 @@ void CuldaTrainer::BuildChunks() {
       uint64_t max_chunk = 0;
       for (uint32_t m = 0; m < m_; ++m) {
         max_chunk = std::max(max_chunk,
-                             chunks_[m * g_count + g].DeviceBytes(cfg_));
+                             chunks_[m * d_count + g].DeviceBytes(cfg_));
       }
       footprints_.push_back(
           dev.Alloc<std::byte>(2 * max_chunk, "chunk_double_buffer"));
@@ -183,28 +205,35 @@ void CuldaTrainer::BuildChunks() {
   }
 }
 
-void CuldaTrainer::InitializeModel() { RebuildCountsFromZ(); }
-
 void CuldaTrainer::RebuildCountsFromZ() {
   CULDA_OBS_SPAN("train/rebuild_counts");
-  const uint32_t g_count = static_cast<uint32_t>(group_.size());
-  // Counts from the current assignment: θ per chunk, φ per device. Each
-  // device touches only its own chunks and replica, so the rebuild runs
-  // device-parallel up to the φ sync point.
-  ForEachDevice([&](size_t g) {
-    gpusim::Device& dev = group_.device(g);
-    RunZeroPhiKernel(dev, cfg_, replicas_[g]);
-    for (uint32_t m = 0; m < m_; ++m) {
-      ChunkState& chunk = chunks_[m * g_count + g];
-      RunUpdatePhiKernel(dev, cfg_, chunk, replicas_[g]);
-      RunUpdateThetaKernel(dev, cfg_, chunk);
-    }
-  });
-  SynchronizePhi(group_, cfg_, replicas_, opts_.sync_mode);
-  ForEachDevice([&](size_t g) {
-    RunComputeNkKernel(group_.device(g), cfg_, replicas_[g]);
-  });
-  group_.Barrier();
+  if (nomadic_) {
+    // The canonical φ and every node's view are rebuilt host-side; only θ
+    // runs on the devices.
+    nomadic_->ResetFromZ(cfg_, chunks_);
+    ForEachDevice([&](size_t d) {
+      RunUpdateThetaKernel(device(d), cfg_, chunks_[d]);
+    });
+  } else {
+    const uint32_t d_count = num_gpus();
+    // Counts from the current assignment: θ per chunk, φ per device. Each
+    // device touches only its own chunks and replica, so the rebuild runs
+    // device-parallel up to the φ sync point.
+    ForEachDevice([&](size_t g) {
+      gpusim::Device& dev = device(g);
+      RunZeroPhiKernel(dev, cfg_, replicas_[g]);
+      for (uint32_t m = 0; m < m_; ++m) {
+        ChunkState& chunk = chunks_[m * d_count + g];
+        RunUpdatePhiKernel(dev, cfg_, chunk, replicas_[g]);
+        RunUpdateThetaKernel(dev, cfg_, chunk);
+      }
+    });
+    ExchangePhi(replicas_);
+    ForEachDevice([&](size_t g) {
+      RunComputeNkKernel(device(g), cfg_, replicas_[g]);
+    });
+  }
+  BarrierEachNode();
   // Covers every path that rewrites the counts wholesale: construction,
   // checkpoint restore, and ImportAssignments.
   CULDA_VALIDATE_HOOK(if (opts_.validate) ValidateState());
@@ -221,29 +250,46 @@ IterationStats CuldaTrainer::Step() {
   CULDA_OBS_TIMED("train.step_wall_s");
   IterationStats stats;
   stats.iteration = iteration_;
-  const double t0 = group_.Now();
+  const double t0 = Now();
+  const uint64_t payload0 = fabric_.payload_bytes();
+  const uint64_t wire0 = fabric_.wire_bytes();
   Stopwatch wall;
 
-  if (m_ == 1) {
-    StepWs1(stats);
+  if (nomadic_) {
+    CULDA_OBS_SPAN("train/nomadic");
+    const auto sweep =
+        nomadic_->Sweep(nodes_, fabric_, chunks_, cfg_, iteration_ + 1,
+                        opts_.collect_step_counters ? &steps_ : nullptr);
+    stats.sampling_s = sweep.sampling_s;
+    stats.max_staleness = sweep.max_staleness;
   } else {
-    StepWs2(stats);
-  }
-  // Post-sampling/θ-update, pre-sync: each chunk's z and θ must already
-  // agree (φ is mid-flight in accum_, so only per-chunk checks apply here).
-  CULDA_VALIDATE_HOOK(if (opts_.validate) {
-    for (size_t c = 0; c < chunks_.size(); ++c) {
-      validate::ValidateChunk(*corpus_, cfg_, chunks_[c],
-                              "chunk " + std::to_string(c));
+    if (m_ == 1) {
+      StepWs1(stats);
+    } else {
+      StepWs2(stats);
     }
-  });
-  SyncAndFinishIteration(stats);
-  // Post-sync: the replicas hold the global counts again, so the full
-  // inventory (φ vs z, replica agreement, saturation margin) applies.
+    // Post-sampling/θ-update, pre-sync: each chunk's z and θ must already
+    // agree (φ is mid-flight in accum_, so only per-chunk checks apply
+    // here).
+    CULDA_VALIDATE_HOOK(if (opts_.validate) {
+      for (size_t c = 0; c < chunks_.size(); ++c) {
+        validate::ValidateChunk(*corpus_, cfg_, chunks_[c],
+                                "chunk " + std::to_string(c));
+      }
+    });
+    SyncAndFinishIteration(stats);
+  }
+  // Post-sync: the replicas (or the canonical φ) hold the global counts
+  // again, so the full inventory (φ vs z, replica agreement, saturation
+  // margin) applies.
   CULDA_VALIDATE_HOOK(if (opts_.validate) ValidateState());
 
-  stats.sim_seconds = group_.Now() - t0;
+  stats.sim_seconds = Now() - t0;
   stats.wall_seconds = wall.Seconds();
+  stats.network_payload_bytes = fabric_.payload_bytes() - payload0;
+  stats.network_wire_bytes = fabric_.wire_bytes() - wire0;
+  max_observed_staleness_ =
+      std::max(max_observed_staleness_, stats.max_staleness);
   for (const auto& chunk : chunks_) stats.theta_nnz += chunk.theta.nnz();
   stats.tokens_per_sec =
       static_cast<double>(corpus_->num_tokens()) / stats.sim_seconds;
@@ -251,8 +297,8 @@ IterationStats CuldaTrainer::Step() {
       stats.wall_seconds > 0
           ? static_cast<double>(corpus_->num_tokens()) / stats.wall_seconds
           : 0.0;
-  for (size_t g = 0; g < group_.size(); ++g) {
-    const double cur = group_.device(g).transfer_seconds();
+  for (size_t g = 0; g < last_transfer_s_.size(); ++g) {
+    const double cur = device(g).transfer_seconds();
     stats.transfer_s += cur - last_transfer_s_[g];
     last_transfer_s_[g] = cur;
   }
@@ -281,11 +327,11 @@ IterationStats CuldaTrainer::Step() {
 void CuldaTrainer::StepWs1(IterationStats& stats) {
   CULDA_OBS_SPAN("train/ws1");
   CULDA_OBS_TIMED("train.schedule_wall_s");
-  std::vector<DevicePartial> partials(group_.size());
+  std::vector<DevicePartial> partials(num_gpus());
   ForEachDevice([&](size_t g) {
     CULDA_OBS_SPAN("train/ws1 gpu" + std::to_string(g));
     DevicePartial& part = partials[g];
-    gpusim::Device& dev = group_.device(g);
+    gpusim::Device& dev = device(g);
     ChunkState& chunk = chunks_[g];
     gpusim::Stream& compute = dev.stream(0);
 
@@ -321,12 +367,12 @@ void CuldaTrainer::StepWs1(IterationStats& stats) {
 void CuldaTrainer::StepWs2(IterationStats& stats) {
   CULDA_OBS_SPAN("train/ws2");
   CULDA_OBS_TIMED("train.schedule_wall_s");
-  const uint32_t g_count = static_cast<uint32_t>(group_.size());
-  std::vector<DevicePartial> partials(group_.size());
+  const uint32_t d_count = num_gpus();
+  std::vector<DevicePartial> partials(d_count);
   ForEachDevice([&](size_t g) {
     CULDA_OBS_SPAN("train/ws2 gpu" + std::to_string(g));
     DevicePartial& part = partials[g];
-    gpusim::Device& dev = group_.device(g);
+    gpusim::Device& dev = device(g);
     gpusim::Stream& compute = dev.stream(0);
     // PCIe has independent DMA engines per direction: uploads ride stream 1,
     // downloads stream 2, so the θ write-back of chunk m never stalls the
@@ -340,7 +386,7 @@ void CuldaTrainer::StepWs2(IterationStats& stats) {
         RunZeroPhiKernel(dev, cfg_, accum_[g], &compute).time.total_s;
 
     for (uint32_t m = 0; m < m_; ++m) {
-      ChunkState& chunk = chunks_[m * g_count + g];
+      ChunkState& chunk = chunks_[m * d_count + g];
       // Upload chunk m (tokens + z + θ). On the copy stream this overlaps
       // the previous chunk's compute — the Section 5.1 pipeline.
       const double up_done =
@@ -376,27 +422,47 @@ void CuldaTrainer::StepWs2(IterationStats& stats) {
   }
 }
 
+double CuldaTrainer::ExchangePhi(std::vector<PhiReplica>& replicas) {
+  if (nodes_.size() == 1) {
+    return SynchronizePhi(nodes_[0], cfg_, replicas, opts_.sync_mode).seconds;
+  }
+  return SynchronizePhiAcrossNodes(nodes_, cfg_, replicas, fabric_).seconds;
+}
+
 void CuldaTrainer::SyncAndFinishIteration(IterationStats& stats) {
   CULDA_OBS_TIMED("train.sync_wall_s");
   {
     CULDA_OBS_SPAN("train/phi_sync");
-    const auto sync = SynchronizePhi(group_, cfg_, accum_, opts_.sync_mode);
-    stats.sync_s += sync.seconds;
+    stats.sync_s += ExchangePhi(accum_);
   }
   // The synchronized accumulators become the next iteration's read model.
   std::swap(replicas_, accum_);
   CULDA_OBS_SPAN("train/compute_nk");
-  std::vector<double> nk_s(group_.size(), 0.0);
+  std::vector<double> nk_s(num_gpus(), 0.0);
   ForEachDevice([&](size_t g) {
-    nk_s[g] = RunComputeNkKernel(group_.device(g), cfg_, replicas_[g])
-                  .time.total_s;
+    nk_s[g] = RunComputeNkKernel(device(g), cfg_, replicas_[g]).time.total_s;
   });
   for (const double s : nk_s) stats.update_phi_s += s;
-  group_.Barrier();
+  BarrierEachNode();
+}
+
+void CuldaTrainer::BarrierEachNode() {
+  for (auto& node : nodes_) node.Barrier();
+}
+
+double CuldaTrainer::Now() const {
+  double now = 0;
+  for (const auto& node : nodes_) now = std::max(now, node.Now());
+  return now;
 }
 
 void CuldaTrainer::ValidateState() const {
-  validate::ValidateModelState(*corpus_, cfg_, chunks_, replicas_);
+  if (nomadic_) {
+    validate::ValidateModelState(*corpus_, cfg_, chunks_,
+                                 {&nomadic_->canonical(), 1});
+  } else {
+    validate::ValidateModelState(*corpus_, cfg_, chunks_, replicas_);
+  }
 }
 
 std::vector<IterationStats> CuldaTrainer::Train(uint32_t iterations) {
@@ -427,8 +493,9 @@ GatheredModel CuldaTrainer::Gather() const {
   }
   builder.Finish();
 
-  model.phi = replicas_[0].phi;
-  model.nk = replicas_[0].nk;
+  const PhiReplica& phi = nomadic_ ? nomadic_->canonical() : replicas_[0];
+  model.phi = phi.phi;
+  model.nk = phi.nk;
   return model;
 }
 
@@ -468,6 +535,7 @@ constexpr uint32_t kCkptVersion = 2;
 }  // namespace
 
 void CuldaTrainer::SaveCheckpoint(std::ostream& out) const {
+  CULDA_CHECK_MSG(!nomadic_, kAsyncCheckpointUnsupported);
   CULDA_OBS_SPAN("ckpt/save");
   CULDA_OBS_TIMED("ckpt.save_s");
   CULDA_OBS_COUNT("ckpt.saves", 1);
@@ -488,6 +556,7 @@ void CuldaTrainer::SaveCheckpoint(std::ostream& out) const {
 }
 
 void CuldaTrainer::RestoreCheckpoint(std::istream& in) {
+  CULDA_CHECK_MSG(!nomadic_, kAsyncCheckpointUnsupported);
   CULDA_OBS_SPAN("ckpt/restore");
   CULDA_OBS_TIMED("ckpt.restore_s");
   CULDA_OBS_COUNT("ckpt.restores", 1);

@@ -12,10 +12,27 @@
 // M is chosen automatically from the device memory capacity exactly as the
 // paper prescribes: M = 1 if one chunk (plus the model) fits, otherwise the
 // smallest M such that two chunks fit (double buffering).
+//
+// The machine is N nodes × G GPUs (N = 1 is the paper's single box): N
+// gpusim::DeviceGroups joined by a gpusim::Fabric, chunk m·(N·G) + n·G + g
+// on node n, GPU g. Everything above runs unchanged over the N·G devices;
+// only the φ exchange depends on the machine (docs/distributed.md):
+//
+//   N = 1          — SynchronizePhi, the reduce+broadcast tree of Fig. 4.
+//   N > 1, kSync   — SynchronizePhiAcrossNodes: intra-node trees plus a
+//                    fabric-billed ring all-reduce. Assignments are
+//                    bit-identical to one N·G-GPU machine; only the clock
+//                    differs.
+//   N > 1, kAsync  — NomadicCirculation: word shards of φ circulate around
+//                    the ring with bounded staleness instead of a per-sweep
+//                    all-reduce (core/nomadic.hpp). Chunks stay resident
+//                    (M = 1), and checkpoints are unavailable because the
+//                    per-node shard views are not serialized.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,8 +40,10 @@
 #include "core/config.hpp"
 #include "core/kernels.hpp"
 #include "core/model.hpp"
+#include "core/nomadic.hpp"
 #include "core/sync.hpp"
 #include "corpus/corpus.hpp"
+#include "gpusim/fabric.hpp"
 #include "gpusim/multi_gpu.hpp"
 #include "util/thread_pool.hpp"
 #include "validate/validate.hpp"
@@ -32,8 +51,20 @@
 namespace culda::core {
 
 struct TrainerOptions {
+  /// Simulated machines; every node carries the same `gpus`.
+  uint32_t num_nodes = 1;
+  /// GPUs per node (every node is identical — the paper's homogeneous
+  /// platforms).
   std::vector<gpusim::DeviceSpec> gpus = {gpusim::V100Volta()};
-  gpusim::LinkSpec peer_link = gpusim::Pcie3x16();
+  gpusim::LinkSpec peer_link = gpusim::Pcie3x16();  ///< intra-node
+  gpusim::LinkSpec network = gpusim::Ethernet10G();  ///< inter-node
+  gpusim::FabricTopology topology = gpusim::FabricTopology::kRing;
+  /// Inter-node φ exchange when num_nodes > 1 (ignored on one node).
+  DistMode mode = DistMode::kSync;
+  /// kAsync only: max age (rounds) of a shard copy a node may sample
+  /// against. 0 = refresh everything every round (maximum traffic);
+  /// kUnboundedStaleness = pure nomadic (age naturally capped at N−1).
+  uint32_t staleness_bound = kUnboundedStaleness;
   /// Chunks per GPU (the paper's M); 0 = choose automatically from device
   /// memory capacity (Section 5.1).
   uint32_t chunks_per_gpu = 0;
@@ -95,19 +126,34 @@ struct IterationStats {
   /// θ sparsity after this iteration: total non-zeros across all chunks.
   /// Falling nnz is what drives the Figure 7 throughput ramp.
   uint64_t theta_nnz = 0;
+  uint64_t network_payload_bytes = 0;  ///< fabric payload this iteration
+  uint64_t network_wire_bytes = 0;     ///< payload × hops (store-and-forward)
+  /// kAsync: max shard age (rounds) any node sampled against this
+  /// iteration; always ≤ min(staleness_bound, N−1). 0 otherwise.
+  uint32_t max_staleness = 0;
 };
+
+/// Why a kAsync trainer cannot checkpoint (SaveCheckpoint/RestoreCheckpoint
+/// throw it; culda_train rejects --checkpoint/--resume with it).
+inline constexpr char kAsyncCheckpointUnsupported[] =
+    "checkpoints are unavailable with --dist=async: the per-node phi shard "
+    "views are not checkpointed, so a resume could not continue "
+    "bit-identically";
 
 class CuldaTrainer {
  public:
   /// `corpus` must outlive the trainer. Builds chunk layouts, initializes
   /// topics uniformly at random (deterministic in cfg.seed), and constructs
-  /// the initial θ/φ counts; the simulated clock starts at zero *after*
-  /// initialization, matching how the paper times iterations.
+  /// the initial θ/φ counts; the simulated clocks (every node's and the
+  /// fabric's) start at zero *after* initialization, matching how the paper
+  /// times iterations.
   CuldaTrainer(const corpus::Corpus& corpus, CuldaConfig cfg,
                TrainerOptions opts);
 
+  uint32_t num_nodes() const { return static_cast<uint32_t>(nodes_.size()); }
+  /// Devices across all nodes (N·G).
   uint32_t num_gpus() const {
-    return static_cast<uint32_t>(group_.size());
+    return num_nodes() * static_cast<uint32_t>(nodes_[0].size());
   }
   uint32_t chunks_per_gpu() const { return m_; }
   uint32_t num_chunks() const {
@@ -116,7 +162,21 @@ class CuldaTrainer {
   uint64_t num_tokens() const { return corpus_->num_tokens(); }
   const CuldaConfig& config() const { return cfg_; }
   const TrainerOptions& options() const { return opts_; }
-  gpusim::DeviceGroup& group() { return group_; }
+  /// Node 0's devices — the whole machine when num_nodes() == 1.
+  gpusim::DeviceGroup& group() { return nodes_[0]; }
+  /// Every node's devices, node-major (device ids n·G + g).
+  std::span<gpusim::DeviceGroup> nodes() { return nodes_; }
+  std::span<const gpusim::DeviceGroup> nodes() const { return nodes_; }
+  const gpusim::Fabric& fabric() const { return fabric_; }
+
+  /// Latest completion time across every node's devices (simulated seconds
+  /// since the end of initialization).
+  double Now() const;
+
+  /// Max shard age (rounds) sampled against over the whole run; the
+  /// staleness-bound invariant is max_observed_staleness() ≤
+  /// min(staleness_bound, N−1). Always 0 unless kAsync.
+  uint32_t max_observed_staleness() const { return max_observed_staleness_; }
 
   /// Runs one full training iteration (sampling + model update + φ sync).
   IterationStats Step();
@@ -139,8 +199,10 @@ class CuldaTrainer {
   uint32_t iteration() const { return iteration_; }
 
   /// Checks the full invariant inventory over the current state (every
-  /// chunk's layout/z/θ, replica agreement, φ against z and the corpus);
-  /// throws validate::ValidationError naming the first violated invariant.
+  /// chunk's layout/z/θ, replica agreement, φ against z and the corpus —
+  /// under kAsync the canonical φ, since the per-node views are stale by
+  /// design); throws validate::ValidationError naming the first violated
+  /// invariant.
   /// Available in every build; the TrainerOptions::validate hooks call this
   /// automatically in -DCULDA_VALIDATE=ON builds.
   void ValidateState() const;
@@ -151,7 +213,9 @@ class CuldaTrainer {
   // streams are keyed by (seed, iteration, token), so resuming a checkpoint
   // continues bit-identically to an uninterrupted run. On disk it is a
   // util/io container (magic + version + length + CRC32 trailer); see
-  // docs/persistence.md.
+  // docs/persistence.md. A checkpoint records no machine shape, so one
+  // taken on N nodes × G GPUs restores onto any other shape. kAsync
+  // trainers throw kAsyncCheckpointUnsupported.
   void SaveCheckpoint(std::ostream& out) const;
   /// Restores into a trainer built over the same corpus/config/topology;
   /// throws culda::Error on any mismatch or corruption. The restore is
@@ -179,28 +243,36 @@ class CuldaTrainer {
   void ImportAssignments(std::span<const uint16_t> z_doc_major);
 
  private:
+  /// True when the φ exchange is the nomadic circulation (N > 1, kAsync).
+  bool IsNomadic() const {
+    return opts_.num_nodes > 1 && opts_.mode == DistMode::kAsync;
+  }
   void ChooseM();
   void BuildChunks();
-  void InitializeModel();
-  /// Runs fn(g) for every device — concurrently on opts_.pool when one is
-  /// set (simulated GPUs are independent between sync points), sequentially
-  /// otherwise. Callers keep per-device partials and reduce them in fixed
-  /// device order after this returns, which is what keeps float sums (and
-  /// thus reported stats) independent of the execution interleaving.
+  /// Runs fn(d) for every device d = n·G + g (core::ForEachDevice over
+  /// opts_.pool).
   void ForEachDevice(const std::function<void(size_t)>& fn);
+  gpusim::Device& device(size_t d) {
+    return nodes_[d / nodes_[0].size()].device(d % nodes_[0].size());
+  }
   /// Rebuilds θ/φ/n_k from the current z (used at init and restore).
   void RebuildCountsFromZ();
   void StepWs1(IterationStats& stats);
   void StepWs2(IterationStats& stats);
+  /// The synchronous φ exchange: the intra-node tree on one node, the
+  /// fabric all-reduce across several. Returns its simulated seconds.
+  double ExchangePhi(std::vector<PhiReplica>& replicas);
   void SyncAndFinishIteration(IterationStats& stats);
+  void BarrierEachNode();
   uint64_t ChunkUploadBytes(const ChunkState& chunk) const;
 
   const corpus::Corpus* corpus_;
   CuldaConfig cfg_;
   TrainerOptions opts_;
-  gpusim::DeviceGroup group_;
+  std::vector<gpusim::DeviceGroup> nodes_;
+  gpusim::Fabric fabric_;
   uint32_t m_ = 1;  ///< chunks per GPU
-  std::vector<ChunkState> chunks_;          ///< C = M × G entries
+  std::vector<ChunkState> chunks_;          ///< C = M × N·G entries
   /// Double-buffered φ per GPU: `replicas_` is the synchronized model the
   /// sampling kernel reads (iteration t−1); `accum_` collects the new counts
   /// during iteration t and becomes `replicas_` after the sync. (The paper
@@ -210,9 +282,13 @@ class CuldaTrainer {
   std::vector<PhiReplica> accum_;
   /// Capacity charges representing resident chunk + model footprints.
   std::vector<gpusim::DeviceBuffer<std::byte>> footprints_;
+  /// kAsync only (and then replicas_/accum_/footprints_ stay empty): the
+  /// canonical φ, the per-node views and the per-shard work lists.
+  std::unique_ptr<NomadicCirculation> nomadic_;
   std::vector<IterationStats> history_;
   SamplingStepCounters steps_;
   uint32_t iteration_ = 0;
+  uint32_t max_observed_staleness_ = 0;
   std::vector<double> last_transfer_s_;  ///< per-device transfer-time marks
 };
 

@@ -5,13 +5,14 @@
 namespace culda::gpusim {
 
 DeviceGroup::DeviceGroup(std::vector<DeviceSpec> specs, LinkSpec peer_link,
-                         ThreadPool* pool)
+                         ThreadPool* pool, int first_device_id)
     : peer_link_(std::move(peer_link)) {
   CULDA_CHECK_MSG(!specs.empty(), "DeviceGroup needs at least one device");
   devices_.reserve(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
     devices_.push_back(
-        std::make_unique<Device>(specs[i], static_cast<int>(i), pool));
+        std::make_unique<Device>(specs[i],
+                                 first_device_id + static_cast<int>(i), pool));
   }
 }
 

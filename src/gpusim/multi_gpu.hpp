@@ -19,8 +19,10 @@ class DeviceGroup {
  public:
   /// Creates `specs.size()` devices sharing an optional worker pool.
   /// `peer_link` models GPU↔GPU transfers (PCIe by default, NVLink on DGX).
+  /// Device ids start at `first_device_id` (node n of G GPUs uses n·G, so
+  /// ids stay unique across the nodes of a cluster).
   DeviceGroup(std::vector<DeviceSpec> specs, LinkSpec peer_link = Pcie3x16(),
-              ThreadPool* pool = nullptr);
+              ThreadPool* pool = nullptr, int first_device_id = 0);
 
   size_t size() const { return devices_.size(); }
   Device& device(size_t i) { return *devices_.at(i); }

@@ -70,18 +70,26 @@ void WriteProfileJson(const Device& device, std::ostream& out) {
   out << o.str() << "\n";
 }
 
-void WriteProfileJson(const DeviceGroup& group, std::ostream& out) {
+void WriteProfileJson(std::span<const DeviceGroup> nodes, std::ostream& out) {
   std::string devices = "[";
-  for (size_t g = 0; g < group.size(); ++g) {
-    if (g > 0) devices += ",";
-    devices += ProfileObject(group.device(g)).str();
+  uint64_t peer_bytes = 0;
+  for (const DeviceGroup& group : nodes) {
+    for (size_t g = 0; g < group.size(); ++g) {
+      if (devices.size() > 1) devices += ",";
+      devices += ProfileObject(group.device(g)).str();
+    }
+    peer_bytes += group.peer_bytes();
   }
   devices += "]";
   obs::JsonObject o;
   o.Add("schema", "culda.profile.v1")
-      .Add("peer_bytes", group.peer_bytes())
+      .Add("peer_bytes", peer_bytes)
       .AddRaw("devices", devices);
   out << o.str() << "\n";
+}
+
+void WriteProfileJson(const DeviceGroup& group, std::ostream& out) {
+  WriteProfileJson(std::span<const DeviceGroup>(&group, 1), out);
 }
 
 namespace {
@@ -115,28 +123,30 @@ void WriteChromeTrace(const Device& device, std::ostream& out) {
   out << "\n]\n";
 }
 
-void WriteMergedChromeTrace(const DeviceGroup& group,
+void WriteMergedChromeTrace(std::span<const DeviceGroup> nodes,
                             const obs::SpanTracer& tracer,
                             std::ostream& out) {
   std::vector<obs::TraceEvent> events;
   std::vector<obs::TraceProcess> processes;
   std::vector<obs::TraceThread> threads;
 
-  for (size_t g = 0; g < group.size(); ++g) {
-    const Device& device = group.device(g);
-    processes.push_back(
-        {device.id(), "sim " + device.spec().name + " (device " +
-                          std::to_string(device.id()) + ")"});
-    std::set<int> streams;
-    for (const auto& rec : device.trace()) {
-      // Device kernels carry no request context and no cross-trace link.
-      events.push_back({rec.name, device.id(), rec.stream_id, rec.start_s,
-                        rec.end_s - rec.start_s, obs::TraceContext{},
-                        /*link_span_id=*/0});
-      streams.insert(rec.stream_id);
-    }
-    for (const int s : streams) {
-      threads.push_back({device.id(), s, "stream " + std::to_string(s)});
+  for (const DeviceGroup& group : nodes) {
+    for (size_t g = 0; g < group.size(); ++g) {
+      const Device& device = group.device(g);
+      processes.push_back(
+          {device.id(), "sim " + device.spec().name + " (device " +
+                            std::to_string(device.id()) + ")"});
+      std::set<int> streams;
+      for (const auto& rec : device.trace()) {
+        // Device kernels carry no request context and no cross-trace link.
+        events.push_back({rec.name, device.id(), rec.stream_id, rec.start_s,
+                          rec.end_s - rec.start_s, obs::TraceContext{},
+                          /*link_span_id=*/0});
+        streams.insert(rec.stream_id);
+      }
+      for (const int s : streams) {
+        threads.push_back({device.id(), s, "stream " + std::to_string(s)});
+      }
     }
   }
 
@@ -147,6 +157,13 @@ void WriteMergedChromeTrace(const DeviceGroup& group,
   threads.insert(threads.end(), host_threads.begin(), host_threads.end());
 
   obs::WriteChromeTraceJson(events, processes, threads, out);
+}
+
+void WriteMergedChromeTrace(const DeviceGroup& group,
+                            const obs::SpanTracer& tracer,
+                            std::ostream& out) {
+  WriteMergedChromeTrace(std::span<const DeviceGroup>(&group, 1), tracer,
+                         out);
 }
 
 }  // namespace culda::gpusim

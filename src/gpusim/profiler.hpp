@@ -15,6 +15,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 
 #include "gpusim/device.hpp"
 #include "gpusim/multi_gpu.hpp"
@@ -34,8 +35,12 @@ void PrintProfile(const Device& device, std::ostream& out);
 /// device's host-link transfer totals.
 void WriteProfileJson(const Device& device, std::ostream& out);
 
-/// Group form: {"schema":...,"peer_bytes":N,"devices":[<per-device
-/// objects>]}, one entry per device in index order.
+/// Machine form: {"schema":...,"peer_bytes":N,"devices":[<per-device
+/// objects>]}, one entry per device of every node in node-major order;
+/// peer_bytes sums the nodes' intra-node peer traffic.
+void WriteProfileJson(std::span<const DeviceGroup> nodes, std::ostream& out);
+
+/// One-node form of the above.
 void WriteProfileJson(const DeviceGroup& group, std::ostream& out);
 
 /// Emits the recorded traces of every device in `group` as Chrome
@@ -46,11 +51,17 @@ void WriteChromeTrace(const DeviceGroup& group, std::ostream& out);
 /// Single-device convenience overload.
 void WriteChromeTrace(const Device& device, std::ostream& out);
 
-/// One Chrome trace with both timelines: every device's recorded kernel /
-/// transfer events (pid = device id, streams as named threads) and the host
-/// tracer's wall-clock spans (pid = obs::kHostTracePid). Both timelines
-/// start at ~0 — simulated seconds for devices, wall seconds for the host —
-/// so trainer phases line up against the kernels they drive.
+/// One Chrome trace with both timelines: the recorded kernel / transfer
+/// events of every device of every node (pid = device id, unique across
+/// nodes; streams as named threads) and the host tracer's wall-clock spans
+/// (pid = obs::kHostTracePid). Both timelines start at ~0 — simulated
+/// seconds for devices, wall seconds for the host — so trainer phases line
+/// up against the kernels they drive.
+void WriteMergedChromeTrace(std::span<const DeviceGroup> nodes,
+                            const obs::SpanTracer& tracer,
+                            std::ostream& out);
+
+/// One-node form of the above.
 void WriteMergedChromeTrace(const DeviceGroup& group,
                             const obs::SpanTracer& tracer,
                             std::ostream& out);

@@ -75,7 +75,10 @@ class JsonObject {
     return AddRaw(key, v ? "true" : "false");
   }
   JsonObject& Add(std::string_view key, std::string_view v) {
-    return AddRaw(key, "\"" + JsonEscape(v) + "\"");
+    std::string quoted = "\"";
+    quoted += JsonEscape(v);
+    quoted += '"';
+    return AddRaw(key, quoted);
   }
   JsonObject& Add(std::string_view key, const char* v) {
     return Add(key, std::string_view(v));

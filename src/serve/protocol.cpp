@@ -243,8 +243,11 @@ std::string FormatResponse(const ServeResponse& response) {
   std::string topics = "[";
   for (const auto& dt : response.result.mixture) {
     if (topics.size() > 1) topics += ",";
-    topics += "[" + std::to_string(dt.topic) + "," +
-              obs::JsonNumber(dt.proportion) + "]";
+    topics += '[';
+    topics += std::to_string(dt.topic);
+    topics += ',';
+    topics += obs::JsonNumber(dt.proportion);
+    topics += ']';
   }
   topics += "]";
   obj.AddRaw("topics", topics);

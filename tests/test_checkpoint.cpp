@@ -1,8 +1,10 @@
 // Tests for training checkpoints: bit-exact resume, topology-independent
-// restore, and corruption rejection.
+// restore (including from 2 nodes × 2 GPUs onto one 4-GPU machine),
+// corruption rejection, and the async multi-node rejections.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/trainer.hpp"
 #include "corpus/synthetic.hpp"
@@ -141,6 +143,117 @@ TEST(Checkpoint, RejectsGarbageAndTruncation) {
     CuldaTrainer b(c, TestConfig(), {});
     EXPECT_THROW(b.RestoreCheckpoint(truncated), Error) << frac;
   }
+}
+
+// --- Multi-node ---------------------------------------------------------
+
+TrainerOptions TwoNodesTwoGpus(DistMode mode) {
+  TrainerOptions opts;
+  opts.num_nodes = 2;
+  opts.gpus.assign(2, gpusim::V100Volta());
+  opts.mode = mode;
+  return opts;
+}
+
+TEST(Checkpoint, MultiNodeSyncResumeContinuesBitExactly) {
+  const auto c = TestCorpus();
+  CuldaTrainer reference(c, TestConfig(), TwoNodesTwoGpus(DistMode::kSync));
+  reference.Train(4);
+
+  CuldaTrainer first(c, TestConfig(), TwoNodesTwoGpus(DistMode::kSync));
+  first.Train(2);
+  std::stringstream ckpt(std::ios::binary | std::ios::in | std::ios::out);
+  first.SaveCheckpoint(ckpt);
+
+  CuldaTrainer resumed(c, TestConfig(), TwoNodesTwoGpus(DistMode::kSync));
+  resumed.RestoreCheckpoint(ckpt);
+  EXPECT_EQ(resumed.iteration(), 2u);
+  resumed.Train(2);
+  EXPECT_EQ(PhiFingerprint(resumed), PhiFingerprint(reference));
+  EXPECT_EQ(resumed.ExportAssignments(), reference.ExportAssignments());
+}
+
+TEST(Checkpoint, MultiNodeSyncRestoresIntoSingleMachine) {
+  // 2 nodes × 2 GPUs and one 4-GPU machine partition the corpus the same
+  // way, so the checkpoint moves between them and both continue in step.
+  const auto c = TestCorpus();
+  CuldaTrainer cluster(c, TestConfig(), TwoNodesTwoGpus(DistMode::kSync));
+  cluster.Train(2);
+  std::stringstream ckpt(std::ios::binary | std::ios::in | std::ios::out);
+  cluster.SaveCheckpoint(ckpt);
+
+  TrainerOptions four;
+  four.gpus.assign(4, gpusim::V100Volta());
+  CuldaTrainer machine(c, TestConfig(), four);
+  machine.RestoreCheckpoint(ckpt);
+  EXPECT_EQ(PhiFingerprint(machine), PhiFingerprint(cluster));
+  EXPECT_EQ(machine.ExportAssignments(), cluster.ExportAssignments());
+
+  machine.Train(2);
+  cluster.Train(2);
+  EXPECT_EQ(PhiFingerprint(machine), PhiFingerprint(cluster));
+  EXPECT_EQ(machine.ExportAssignments(), cluster.ExportAssignments());
+}
+
+TEST(Checkpoint, AsyncValidateStateChecksCanonicalPhi) {
+  // The per-node views are stale by design; the canonical φ must agree with
+  // z after every sweep.
+  const auto c = TestCorpus();
+  CuldaTrainer t(c, TestConfig(), TwoNodesTwoGpus(DistMode::kAsync));
+  for (int i = 0; i < 3; ++i) {
+    t.Step();
+    EXPECT_NO_THROW(t.ValidateState()) << "after sweep " << i;
+  }
+}
+
+TEST(Checkpoint, AsyncRejectsCheckpointsNamingTheShardViews) {
+  const auto c = TestCorpus();
+  CuldaTrainer async(c, TestConfig(), TwoNodesTwoGpus(DistMode::kAsync));
+  async.Step();
+  const auto expect_rejected = [](const auto& fn) {
+    try {
+      fn();
+      FAIL() << "async checkpoint I/O must be rejected";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("shard views are not "
+                                           "checkpointed"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  std::stringstream out(std::ios::binary | std::ios::in | std::ios::out);
+  expect_rejected([&] { async.SaveCheckpoint(out); });
+
+  CuldaTrainer sync(c, TestConfig(), TwoNodesTwoGpus(DistMode::kSync));
+  std::stringstream ckpt(std::ios::binary | std::ios::in | std::ios::out);
+  sync.SaveCheckpoint(ckpt);
+  expect_rejected([&] { async.RestoreCheckpoint(ckpt); });
+  EXPECT_NO_THROW(async.ValidateState());  // the failed restore changed nothing
+}
+
+TEST(Checkpoint, AsyncRejectsMoreThanOneChunkPerGpu) {
+  const auto c = TestCorpus();
+  auto explicit_m = TwoNodesTwoGpus(DistMode::kAsync);
+  explicit_m.chunks_per_gpu = 2;
+  // Room for φ and a quarter of each GPU's share, so the automatic choice
+  // lands on M > 1 as well.
+  auto automatic_m = TwoNodesTwoGpus(DistMode::kAsync);
+  for (auto& spec : automatic_m.gpus) spec.memory_bytes = 90'000;
+  for (const TrainerOptions& opts : {explicit_m, automatic_m}) {
+    try {
+      CuldaTrainer t(c, TestConfig(), opts);
+      FAIL() << "M > 1 must be rejected under async";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("keeps chunks resident"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The same small devices are fine for sync, which streams chunks (WS2).
+  auto sync = automatic_m;
+  sync.mode = DistMode::kSync;
+  CuldaTrainer streamed(c, TestConfig(), sync);
+  EXPECT_GT(streamed.chunks_per_gpu(), 1u);
 }
 
 }  // namespace

@@ -210,24 +210,32 @@ std::vector<core::PhiReplica> FilledReplicas(size_t g, uint16_t value) {
   return out;
 }
 
+/// `count` nodes of two Pascal GPUs each.
+std::vector<gpusim::DeviceGroup> PascalNodes(size_t count) {
+  std::vector<gpusim::DeviceGroup> nodes;
+  for (size_t n = 0; n < count; ++n) {
+    nodes.emplace_back(
+        std::vector<gpusim::DeviceSpec>(2, gpusim::TitanXpPascal()));
+  }
+  return nodes;
+}
+
 TEST(MultiNodeSync, SumsAcrossNodesAndGpus) {
   core::CuldaConfig cfg;
   cfg.num_topics = 4;
-  gpusim::DeviceGroup node0(
-      std::vector<gpusim::DeviceSpec>(2, gpusim::TitanXpPascal()));
-  gpusim::DeviceGroup node1(
-      std::vector<gpusim::DeviceSpec>(2, gpusim::TitanXpPascal()));
-  auto r0 = FilledReplicas(2, 1);
-  auto r1 = FilledReplicas(2, 2);
+  auto nodes = PascalNodes(2);
+  // Node-major: node 0's two replicas hold 1, node 1's hold 2.
+  auto reps = FilledReplicas(2, 1);
+  for (auto& r : FilledReplicas(2, 2)) reps.push_back(std::move(r));
+  gpusim::Fabric fabric(2, gpusim::FabricTopology::kRing,
+                        gpusim::Ethernet10G());
 
-  const auto stats = core::SynchronizePhiAcrossNodes(
-      {&node0, &node1}, cfg, {&r0, &r1}, gpusim::Ethernet10G());
+  const auto stats =
+      core::SynchronizePhiAcrossNodes(nodes, cfg, reps, fabric);
   // Each node's intra sum = 2×value; global = 2·1 + 2·2 = 6.
-  for (const auto* reps : {&r0, &r1}) {
-    for (const auto& r : *reps) {
-      for (const uint16_t cell : r.phi.flat()) {
-        ASSERT_EQ(cell, 6);
-      }
+  for (const auto& r : reps) {
+    for (const uint16_t cell : r.phi.flat()) {
+      ASSERT_EQ(cell, 6);
     }
   }
   EXPECT_GT(stats.inter_node_s, 0.0);
@@ -237,11 +245,14 @@ TEST(MultiNodeSync, SumsAcrossNodesAndGpus) {
 TEST(MultiNodeSync, SingleNodeHasNoNetworkCost) {
   core::CuldaConfig cfg;
   cfg.num_topics = 4;
-  gpusim::DeviceGroup node(
-      std::vector<gpusim::DeviceSpec>(2, gpusim::TitanXpPascal()));
+  auto nodes = PascalNodes(1);
   auto reps = FilledReplicas(2, 3);
-  const auto stats = core::SynchronizePhiAcrossNodes(
-      {&node}, cfg, {&reps}, gpusim::Ethernet10G());
+  // A fabric must have one endpoint per node, so this one has a single
+  // endpoint and no links.
+  gpusim::Fabric fabric(1, gpusim::FabricTopology::kRing,
+                        gpusim::Ethernet10G());
+  const auto stats =
+      core::SynchronizePhiAcrossNodes(nodes, cfg, reps, fabric);
   EXPECT_EQ(stats.network_bytes, 0u);
   EXPECT_EQ(stats.inter_node_s, 0.0);
 }
@@ -250,23 +261,17 @@ TEST(MultiNodeSync, EthernetDominatesIntraNode) {
   // The whole point: at 10 Gb/s the inter-node phase dwarfs the PCIe tree.
   core::CuldaConfig cfg;
   cfg.num_topics = 256;
-  auto make_big = [](size_t g) {
-    std::vector<core::PhiReplica> out;
-    for (size_t i = 0; i < g; ++i) {
-      core::PhiReplica r(256, 10000);
-      r.phi.Fill(1);
-      out.push_back(std::move(r));
-    }
-    return out;
-  };
-  gpusim::DeviceGroup node0(
-      std::vector<gpusim::DeviceSpec>(2, gpusim::TitanXpPascal()));
-  gpusim::DeviceGroup node1(
-      std::vector<gpusim::DeviceSpec>(2, gpusim::TitanXpPascal()));
-  auto r0 = make_big(2);
-  auto r1 = make_big(2);
-  const auto stats = core::SynchronizePhiAcrossNodes(
-      {&node0, &node1}, cfg, {&r0, &r1}, gpusim::Ethernet10G());
+  std::vector<core::PhiReplica> reps;
+  for (size_t i = 0; i < 4; ++i) {
+    core::PhiReplica r(256, 10000);
+    r.phi.Fill(1);
+    reps.push_back(std::move(r));
+  }
+  auto nodes = PascalNodes(2);
+  gpusim::Fabric fabric(2, gpusim::FabricTopology::kRing,
+                        gpusim::Ethernet10G());
+  const auto stats =
+      core::SynchronizePhiAcrossNodes(nodes, cfg, reps, fabric);
   EXPECT_GT(stats.inter_node_s, 3 * stats.intra_node_s);
 }
 

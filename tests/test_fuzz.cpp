@@ -99,7 +99,9 @@ TEST_P(FuzzSeed, PartitionPoliciesAgreeOnRandomCorpora) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeed,
                          ::testing::Range<uint64_t>(100, 110),
                          [](const auto& info) {
-                           return "s" + std::to_string(info.param);
+                           std::string name = "s";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 // ------------------------------------------------------------ event API

@@ -157,10 +157,9 @@ TEST_F(ObsTest, LabeledMetricsAreDistinctSeries) {
 
 TEST_F(ObsTest, LabelCardinalityIsBoundedWithOverflowFold) {
   for (int i = 0; i < 100; ++i) {
-    Metrics()
-        .GetCounter("obs_test.cardinality", "client",
-                    "c" + std::to_string(i))
-        .Add(1);
+    std::string client = "c";
+    client += std::to_string(i);
+    Metrics().GetCounter("obs_test.cardinality", "client", client).Add(1);
   }
   // Only kMaxLabelValues distinct values get their own series; the rest
   // fold into {client=overflow} so a hostile label can't grow the registry

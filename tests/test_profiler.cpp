@@ -167,5 +167,61 @@ TEST(Profiler, MergedTraceCombinesHostSpansAndDeviceEvents) {
   EXPECT_NE(s.find("\"stream 0\""), std::string::npos);
 }
 
+TEST(Profiler, MultiNodeProfileAndTraceCoverEveryNode) {
+  corpus::SyntheticProfile p;
+  p.num_docs = 150;
+  p.vocab_size = 200;
+  const auto c = corpus::GenerateCorpus(p);
+  core::CuldaConfig cfg;
+  cfg.num_topics = 16;
+  core::TrainerOptions opts;
+  opts.num_nodes = 2;
+  opts.gpus.assign(2, V100Volta());
+  opts.mode = core::DistMode::kAsync;
+  core::CuldaTrainer trainer(c, cfg, opts);
+  for (DeviceGroup& node : trainer.nodes()) {
+    for (size_t g = 0; g < node.size(); ++g) {
+      node.device(g).set_record_trace(true);
+    }
+  }
+  obs::SpanTracer& tracer = obs::SpanTracer::Global();
+  tracer.Reset();
+  tracer.set_enabled(true);
+  trainer.Step();
+  tracer.set_enabled(false);
+
+  std::ostringstream profile;
+  WriteProfileJson(trainer.nodes(), profile);
+  const std::string ps = profile.str();
+  size_t devices = 0;
+  for (size_t at = ps.find("\"id\":"); at != std::string::npos;
+       at = ps.find("\"id\":", at + 1)) {
+    ++devices;
+  }
+  EXPECT_EQ(devices, 4u);
+  // Device ids are n·G + g: unique across the two nodes.
+  for (int id = 0; id < 4; ++id) {
+    EXPECT_NE(ps.find("\"id\":" + std::to_string(id) + ","),
+              std::string::npos)
+        << id;
+  }
+
+  std::ostringstream trace;
+  WriteMergedChromeTrace(trainer.nodes(), tracer, trace);
+  tracer.Reset();
+  const std::string ts = trace.str();
+  for (int id = 0; id < 4; ++id) {
+    EXPECT_NE(ts.find("(device " + std::to_string(id) + ")"),
+              std::string::npos)
+        << id;
+    EXPECT_NE(ts.find("\"pid\":" + std::to_string(id) + ","),
+              std::string::npos)
+        << id;
+  }
+  EXPECT_EQ(ts.find("(device 4)"), std::string::npos);
+  EXPECT_NE(ts.find("\"pid\":" + std::to_string(obs::kHostTracePid)),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace culda::gpusim

@@ -351,7 +351,8 @@ TEST(Daemon, DrainAnswersQueuedThenRejectsLate) {
   std::vector<std::future<ServeResponse>> inflight;
   for (int i = 0; i < 20; ++i) {
     ServeRequest req;
-    req.id = "q" + std::to_string(i);
+    req.id = "q";
+    req.id += std::to_string(i);
     req.words = {static_cast<uint32_t>(i % 50)};
     inflight.push_back(daemon.Submit(req));
   }

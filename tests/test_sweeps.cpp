@@ -60,10 +60,14 @@ INSTANTIATE_TEST_SUITE_P(
                       GridCase{64, 2, 3, true}, GridCase{200, 1, 2, false},
                       GridCase{200, 4, 1, true}, GridCase{16, 4, 4, false}),
     [](const auto& info) {
-      return "K" + std::to_string(info.param.k_topics) + "_G" +
-             std::to_string(info.param.gpus) + "_M" +
-             std::to_string(info.param.chunks_per_gpu) +
-             (info.param.pubmed_shape ? "_short" : "_long");
+      std::string name = "K";
+      name += std::to_string(info.param.k_topics);
+      name += "_G";
+      name += std::to_string(info.param.gpus);
+      name += "_M";
+      name += std::to_string(info.param.chunks_per_gpu);
+      name += info.param.pubmed_shape ? "_short" : "_long";
+      return name;
     });
 
 // --------------------------------------------- randomized corpus fuzzing

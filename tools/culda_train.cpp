@@ -18,7 +18,6 @@
 #include "corpus/split.hpp"
 #include "corpus/synthetic.hpp"
 #include "corpus/uci_reader.hpp"
-#include "dist/cluster.hpp"
 #include "gpusim/profiler.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace.hpp"
@@ -55,22 +54,24 @@ Model / training:
   --numa-replicate    replicate read-mostly inference state per socket for
                       held-out scoring (docs/parallelism.md; no-op on
                       single-socket hosts; results stay bit-identical)
-  --chunks-per-gpu=M  override the automatic WS1/WS2 choice
+  --chunks-per-gpu=M  override the automatic WS1/WS2 choice (async: M = 1)
   --sampler=MODE      tree (default) | alias-mh (docs/samplers.md)
   --mh-cycles=N       alias-mh only: MH proposal pairs per token per sweep
   --hyperopt=N        re-estimate alpha/beta every N iterations (default off)
 
 Multi-node (docs/distributed.md; --gpus then means GPUs per node):
   --nodes=N           simulated node count (default 1 = single machine)
-  --dist=MODE         sync | async inter-node strategy (default async)
+  --dist=MODE         inter-node phi exchange when N > 1 (default async):
+                      sync  = per-iteration ring all-reduce, assignments
+                              bit-identical to one machine with N*G GPUs
+                      async = nomadic phi-shard circulation; needs M = 1
+                              and cannot --checkpoint/--resume
   --staleness=S       async only: max φ-shard age in rounds before a forced
                       refresh; -1 = unbounded (natural cap N-1), 0 =
                       refresh every round (default -1)
   --fabric=TOPO       ring | full inter-node topology (default ring)
   --link=SPEC         eth10g | eth100g | pcie | nvlink | GBPS@LATENCY_US
                       inter-node link (default eth10g)
-  --nodes>1 rejects the single-machine-only flags --checkpoint, --resume,
-  --hyperopt, --chunks-per-gpu, --trace-out and --profile-json.
 
 Persistence:
   --out=PATH          save the trained model (atomic tmp+rename write)
@@ -168,22 +169,24 @@ int main(int argc, char** argv) {
     const bool validate = flags.GetBool("validate", false);
     opts.validate = opts.validate || validate;
 
-    // Multi-node (docs/distributed.md): --nodes>1 swaps the single-machine
-    // CuldaTrainer for the simulated-cluster ClusterTrainer below. The
-    // parse helpers throw on bad values, echoing every accepted spelling.
+    // Multi-node (docs/distributed.md): the same trainer over N nodes of
+    // --gpus GPUs each. The parse helpers throw on bad values, echoing every
+    // accepted spelling.
     const int64_t nodes = flags.GetInt("nodes", 1);
     CULDA_CHECK_MSG(nodes >= 1 && nodes <= 64,
                     "--nodes must be in [1, 64], got " << nodes);
-    const dist::DistMode dist_mode =
-        dist::ParseDistMode(flags.GetString("dist", "async"));
+    opts.num_nodes = static_cast<uint32_t>(nodes);
+    opts.mode = core::ParseDistMode(flags.GetString("dist", "async"));
     const int64_t staleness = flags.GetInt("staleness", -1);
     CULDA_CHECK_MSG(staleness >= -1,
                     "--staleness must be -1 (unbounded) or >= 0 rounds, got "
                         << staleness);
-    const gpusim::FabricTopology fabric_topology =
+    opts.staleness_bound = staleness < 0 ? core::kUnboundedStaleness
+                                         : static_cast<uint32_t>(staleness);
+    opts.topology =
         gpusim::ParseFabricTopology(flags.GetString("fabric", "ring"));
-    const gpusim::LinkSpec network_link =
-        gpusim::ParseLinkSpec(flags.GetString("link", "eth10g"));
+    opts.network = gpusim::ParseLinkSpec(flags.GetString("link", "eth10g"));
+    const bool async = nodes > 1 && opts.mode == core::DistMode::kAsync;
 
     const int iters = static_cast<int>(flags.GetInt("iters", 100));
     const bool quiet = log_level > LogLevel::kInfo;
@@ -196,35 +199,9 @@ int main(int argc, char** argv) {
     ObsToolSupport::RegisterFlags(flags);
 
     if (const int rc = flags.RejectUnknownFlags(kUsage)) return rc;
-    if (nodes > 1) {
-      // Single-machine-only features: fail loudly instead of silently
-      // ignoring them on the cluster path.
-      const struct {
-        bool set;
-        const char* flag;
-        const char* why;
-      } conflicts[] = {
-          {!ckpt_path.empty(), "--checkpoint",
-           "checkpoints serialize single-machine trainer state"},
-          {!resume.empty(), "--resume",
-           "checkpoints serialize single-machine trainer state"},
-          {opts.hyperopt_interval > 0, "--hyperopt",
-           "hyper-parameter re-estimation runs in the single-machine "
-           "trainer only"},
-          {opts.chunks_per_gpu > 0, "--chunks-per-gpu",
-           "the cluster trainer always runs one chunk per GPU"},
-          {!flags.GetString("trace-out", "").empty(), "--trace-out",
-           "the merged device trace covers a single machine's devices"},
-          {!profile_path.empty(), "--profile-json",
-           "the kernel profile covers a single machine's devices"},
-      };
-      for (const auto& c : conflicts) {
-        if (!c.set) continue;
-        std::fprintf(stderr,
-                     "%s cannot be combined with --nodes=%lld: %s\n",
-                     c.flag, static_cast<long long>(nodes), c.why);
-        return 2;
-      }
+    if (async && (!ckpt_path.empty() || !resume.empty())) {
+      std::fprintf(stderr, "%s\n", core::kAsyncCheckpointUnsupported);
+      return 2;
     }
 
     // Observation-only: enabling these changes no numeric result
@@ -233,106 +210,12 @@ int main(int argc, char** argv) {
     obs::JsonlSink& metrics_sink = obs_support.sink();
     const std::string& trace_path = obs_support.trace_path();
 
-    if (nodes > 1) {
-      dist::ClusterOptions copts;
-      copts.num_nodes = static_cast<uint32_t>(nodes);
-      copts.gpus = opts.gpus;  // --device/--gpus apply per node
-      copts.network = network_link;
-      copts.topology = fabric_topology;
-      copts.mode = dist_mode;
-      copts.staleness_bound = staleness < 0
-                                  ? dist::kUnboundedStaleness
-                                  : static_cast<uint32_t>(staleness);
-      copts.sampler = opts.sampler;
-      copts.mh_cycles = opts.mh_cycles;
-      copts.pool = opts.pool;
-      dist::ClusterTrainer trainer(corpus, cfg, copts);
-      std::printf("%lld nodes x %zu %s | %s fabric, %s | %s mode\n",
-                  static_cast<long long>(nodes), opts.gpus.size(),
-                  opts.gpus[0].name.c_str(),
-                  gpusim::FabricTopologyName(fabric_topology),
-                  network_link.name.c_str(), dist::DistModeName(dist_mode));
-
-      InstallShutdownHandler();
-      bool interrupted = false;
-      for (int i = 0; i < iters; ++i) {
-        const auto st = trainer.Sweep();
-        if (validate) trainer.Gather().Validate(corpus);
-        if (!quiet && (i % 10 == 0 || i + 1 == iters)) {
-          std::printf(
-              "sweep %4u  %8.1f Mtok/s (sim)  net %7.2f MB  "
-              "staleness %u  ll/token %.4f\n",
-              st.sweep,
-              st.sim_seconds > 0 ? static_cast<double>(corpus.num_tokens()) /
-                                       st.sim_seconds / 1e6
-                                 : 0.0,
-              static_cast<double>(st.network_payload_bytes) / 1e6,
-              st.max_staleness, trainer.LogLikelihoodPerToken());
-        }
-        if (metrics_sink.active()) {
-          obs::JsonObject fields;
-          fields.Add("sweep", static_cast<uint64_t>(st.sweep))
-              .Add("sim_seconds", st.sim_seconds)
-              .Add("sampling_s", st.sampling_s)
-              .Add("sync_s", st.sync_s)
-              .Add("network_payload_bytes", st.network_payload_bytes)
-              .Add("network_wire_bytes", st.network_wire_bytes)
-              .Add("max_staleness",
-                   static_cast<uint64_t>(st.max_staleness))
-              .Add("theta_nnz", st.theta_nnz);
-          metrics_sink.WriteSnapshot("cluster_sweep", std::move(fields));
-        }
-        if (ShutdownRequested()) {
-          interrupted = true;
-          std::fprintf(stderr,
-                       "signal %d: stopping after sweep %u (sweep "
-                       "completed)\n",
-                       ShutdownSignal(), trainer.sweep());
-          break;
-        }
-      }
-      if (!interrupted) {
-        std::printf(
-            "done: %d sweeps, %.3f simulated seconds, %.2f MB network "
-            "payload, max staleness %u\n",
-            iters, trainer.Now(),
-            static_cast<double>(trainer.fabric().payload_bytes()) / 1e6,
-            trainer.max_observed_staleness());
-      }
-      if (!interrupted && heldout_frac > 0) {
-        const auto served = trainer.Gather();
-        core::InferenceOptions io;
-        io.pool = opts.pool;
-        io.numa_replicate = opts.numa_replicate;
-        const core::InferenceEngine engine(served, trainer.config(), io);
-        std::printf("held-out document-completion perplexity: %.3f\n",
-                    engine.DocumentCompletionPerplexity(heldout));
-      }
-      if (!interrupted && !out_path.empty()) {
-        const auto model = trainer.Gather();
-        model.Validate(corpus);
-        core::SaveModelToFile(model, out_path);
-        std::printf("model saved to %s\n", out_path.c_str());
-      }
-      if (metrics_sink.active()) {
-        obs::JsonObject fields;
-        fields.Add("iterations", static_cast<uint64_t>(iters))
-            .Add("sim_seconds", trainer.Now())
-            .Add("network_payload_bytes", trainer.fabric().payload_bytes())
-            .Add("workers", static_cast<uint64_t>(workers))
-            .Add("tokens", corpus.num_tokens());
-        metrics_sink.WriteSnapshot("train_summary", std::move(fields));
-        std::printf("metrics written to %s\n",
-                    flags.GetString("metrics-out", "").c_str());
-      }
-      obs_support.Shutdown();
-      return interrupted ? kInterruptedExitCode : 0;
-    }
-
     core::CuldaTrainer trainer(corpus, cfg, opts);
     if (!trace_path.empty()) {
-      for (size_t g = 0; g < trainer.group().size(); ++g) {
-        trainer.group().device(g).set_record_trace(true);
+      for (gpusim::DeviceGroup& node : trainer.nodes()) {
+        for (size_t g = 0; g < node.size(); ++g) {
+          node.device(g).set_record_trace(true);
+        }
       }
     }
     if (!resume.empty()) {
@@ -342,6 +225,12 @@ int main(int argc, char** argv) {
       std::printf("resumed from %s at iteration %u\n", used.c_str(),
                   trainer.iteration());
       if (validate) trainer.ValidateState();
+    }
+    if (nodes > 1) {
+      std::printf("%lld nodes | %s fabric, %s | %s mode\n",
+                  static_cast<long long>(nodes),
+                  gpusim::FabricTopologyName(opts.topology),
+                  opts.network.name.c_str(), core::DistModeName(opts.mode));
     }
     std::printf("%zu x %s | M=%u (%s)\n", opts.gpus.size(),
                 opts.gpus[0].name.c_str(), trainer.chunks_per_gpu(),
@@ -367,6 +256,11 @@ int main(int argc, char** argv) {
             st.wall_tokens_per_sec / 1e6, st.sync_s * 1e3,
             st.transfer_s * 1e3, st.update_theta_s * 1e3,
             trainer.LogLikelihoodPerToken());
+        if (nodes > 1) {
+          std::printf("          net %7.2f MB  staleness %u\n",
+                      static_cast<double>(st.network_payload_bytes) / 1e6,
+                      st.max_staleness);
+        }
       }
       if (metrics_sink.active()) {
         obs::JsonObject fields;
@@ -381,6 +275,11 @@ int main(int argc, char** argv) {
             .Add("sync_s", st.sync_s)
             .Add("transfer_s", st.transfer_s)
             .Add("theta_nnz", st.theta_nnz);
+        if (nodes > 1) {
+          fields.Add("network_payload_bytes", st.network_payload_bytes)
+              .Add("network_wire_bytes", st.network_wire_bytes)
+              .Add("max_staleness", static_cast<uint64_t>(st.max_staleness));
+        }
         metrics_sink.WriteSnapshot("train_iteration", std::move(fields));
       }
       if (ShutdownRequested()) {
@@ -410,6 +309,12 @@ int main(int argc, char** argv) {
           wall_total > 0 ? static_cast<double>(trainer.num_tokens()) *
                                iters / wall_total / 1e6
                          : 0.0);
+      if (nodes > 1) {
+        std::printf("network: %.2f MB payload, max staleness %u\n",
+                    static_cast<double>(trainer.fabric().payload_bytes()) /
+                        1e6,
+                    trainer.max_observed_staleness());
+      }
     }
 
     if (!interrupted && heldout_frac > 0) {
@@ -437,6 +342,9 @@ int main(int argc, char** argv) {
           .Add("wall_seconds", wall_total)
           .Add("workers", static_cast<uint64_t>(workers))
           .Add("tokens", trainer.num_tokens());
+      if (nodes > 1) {
+        fields.Add("network_payload_bytes", trainer.fabric().payload_bytes());
+      }
       metrics_sink.WriteSnapshot("train_summary", std::move(fields));
       std::printf("metrics written to %s\n",
                   flags.GetString("metrics-out", "").c_str());
@@ -450,7 +358,7 @@ int main(int argc, char** argv) {
       std::ofstream trace_out(trace_path, std::ios::trunc);
       CULDA_CHECK_MSG(trace_out.good(),
                       "cannot open '" << trace_path << "' for writing");
-      gpusim::WriteMergedChromeTrace(trainer.group(),
+      gpusim::WriteMergedChromeTrace(trainer.nodes(),
                                      obs::SpanTracer::Global(), trace_out);
       std::printf("trace written to %s\n", trace_path.c_str());
     }
@@ -458,7 +366,7 @@ int main(int argc, char** argv) {
       std::ofstream profile_out(profile_path, std::ios::trunc);
       CULDA_CHECK_MSG(profile_out.good(),
                       "cannot open '" << profile_path << "' for writing");
-      gpusim::WriteProfileJson(trainer.group(), profile_out);
+      gpusim::WriteProfileJson(trainer.nodes(), profile_out);
       std::printf("profile written to %s\n", profile_path.c_str());
     }
     return interrupted ? kInterruptedExitCode : 0;
