@@ -444,106 +444,118 @@ gpusim::KernelRecord RunSamplingKernel(
     }
 
     // ---- The samplers. One warp = one sampler; tokens are strided across
-    // the block's samplers (Figure 6).
-    for (uint32_t s = 0; s < samplers; ++s) {
+    // the block's samplers (Figure 6), so token t is charged to warp
+    // (t - token_begin) mod samplers and its p1 arena. The host walks the
+    // tokens in order instead: within one launch θ and p* are fixed, so the
+    // p1 tree depends only on (w, d), and the word-first layout keeps a
+    // document's repeats of w adjacent. The host builds the tree once per
+    // such run; every token is still billed its own build. The last tree
+    // lives only in this block body, so it never crosses a block or thread.
+    IndexTreeView p1_tree;
+    float s_mass = 0;
+    uint32_t p1_doc = 0;
+    uint32_t s = 0;  // the warp token t is charged to
+    for (uint64_t t = bw.token_begin; t < bw.token_end; ++t) {
       std::span<float> warp_arena =
           warp_arena_slots > 0
               ? warp_arena_all.subspan(s * warp_arena_slots, warp_arena_slots)
               : std::span<float>{};
-      for (uint64_t t = bw.token_begin + s; t < bw.token_end; t += samplers) {
-        const uint32_t local_doc = chunk.layout.token_doc[t];
-        ctx.ReadGlobal(8);  // token_doc + token_global (RNG key)
+      if (++s == samplers) s = 0;
+      const uint32_t local_doc = chunk.layout.token_doc[t];
+      ctx.ReadGlobal(8);  // token_doc + token_global (RNG key)
 
-        const auto theta_idx = chunk.theta.RowIndices(local_doc);
-        const auto theta_val = chunk.theta.RowValues(local_doc);
-        const uint64_t kd = theta_idx.size();
-        CULDA_DCHECK(kd > 0);
+      const auto theta_idx = chunk.theta.RowIndices(local_doc);
+      const auto theta_val = chunk.theta.RowValues(local_doc);
+      const uint64_t kd = theta_idx.size();
+      CULDA_DCHECK(kd > 0);
 
-        // θ_d row: indices via L1 (Section 6.1.2), values from DRAM.
-        if (cfg.l1_for_indices) {
-          local.compute_s.l1_read_bytes += kd * idx_b;
-        } else {
-          local.compute_s.global_read_bytes += kd * idx_b;
-        }
-        local.compute_s.global_read_bytes += kd * 4;
-
-        // Private p1 index tree (Figure 6), spilling past shared capacity.
-        // One pass computes p1 = θ·p*, S = Σ p1 (the sparse bucket mass)
-        // and the tree's leaf prefix.
-        const size_t p1_slots = IndexTreeView::StorageSlots(kd, fanout);
-        const TreePlacement p1_place = PlaceTree(
-            ctx, scratch.p1_spill, p1_slots,
-            cfg.use_shared_trees ? warp_arena : std::span<float>{});
-        IndexTreeView p1_tree(p1_place.storage, kd, fanout);
-        const float s_mass =
-            BuildP1Tree(p1_tree, theta_idx, theta_val, pstar.data());
-        local.compute_s.flops += 2 * kd;
-        if (cfg.reuse_pstar) {
-          local.compute_s.shared_read_bytes += kd * 4;
-        } else {
-          // p*(k) recomputed from φ/n_k for every non-zero.
-          local.compute_s.global_read_bytes += kd * phi_b;
-          local.compute_s.l1_read_bytes += kd * 4;
-          local.compute_s.flops += 2 * kd;
-        }
-        if (!cfg.share_p2_tree) {
-          // Without block-level sharing each token pays the p2 work.
-          local.compute_q.global_read_bytes += static_cast<uint64_t>(K) *
-                                               phi_b;
-          local.compute_q.global_read_bytes += static_cast<uint64_t>(K) * 4;
-          local.compute_q.flops += 3ull * K;
-          local.sample_p2.flops += 2ull * K;
-          local.sample_p2.global_write_bytes += p2_slots * 4;
-        }
-
-        // The p1 tree build, billed at the device tree's full footprint.
-        local.sample_p1.flops += kd;
-        if (p1_place.in_shared) {
-          local.sample_p1.shared_write_bytes += p1_slots * 4;
-        } else {
-          local.sample_p1.global_write_bytes += p1_slots * 4;
-          ++local.p1_tree_spills;
-        }
-
-        // One uniform draw decides the bucket and is reused inside it
-        // (u | u < S is U(0, S)). The stream is keyed by the corpus-global
-        // token id, so draws are independent of the partition and schedule.
-        const uint64_t global_token = chunk.layout.token_global[t];
-        PhiloxStream rng(cfg.seed,
-                         (static_cast<uint64_t>(iteration) << 40) ^
-                             global_token);
-        const float total = s_mass + q_mass;
-        const float u = rng.NextFloat() * total;
-        local.compute_s.flops += 2;
-
-        uint32_t new_topic;
-        uint64_t inspected = 0;
-        if (u < s_mass) {
-          const size_t j = p1_tree.Search(u, &inspected);
-          new_topic = theta_idx[j];
-          local.sample_p1.flops += inspected;
-          if (p1_place.in_shared) {
-            local.sample_p1.shared_read_bytes += inspected * 4;
-          } else {
-            local.sample_p1.global_read_bytes += inspected * 4;
-          }
-          ++local.p1_branches;
-        } else {
-          const float u2 = std::min(u - s_mass, q_mass);
-          const size_t k = p2_tree.Search(u2, &inspected);
-          new_topic = static_cast<uint32_t>(k);
-          local.sample_p2.flops += inspected;
-          if (p2_in_shared) {
-            local.sample_p2.shared_read_bytes += inspected * 4;
-          } else {
-            local.sample_p2.global_read_bytes += inspected * 4;
-          }
-        }
-
-        chunk.z[t] = static_cast<uint16_t>(new_topic);
-        ctx.WriteGlobal(2);
-        ++local.tokens;
+      // θ_d row: indices via L1 (Section 6.1.2), values from DRAM.
+      if (cfg.l1_for_indices) {
+        local.compute_s.l1_read_bytes += kd * idx_b;
+      } else {
+        local.compute_s.global_read_bytes += kd * idx_b;
       }
+      local.compute_s.global_read_bytes += kd * 4;
+
+      // Private p1 index tree (Figure 6), spilling past shared capacity.
+      // One pass computes p1 = θ·p*, S = Σ p1 (the sparse bucket mass)
+      // and the tree's leaf prefix. The placement is per token (it decides
+      // the billing); a run of the same document keeps the tree where its
+      // first token built it.
+      const size_t p1_slots = IndexTreeView::StorageSlots(kd, fanout);
+      const TreePlacement p1_place = PlaceTree(
+          ctx, scratch.p1_spill, p1_slots,
+          cfg.use_shared_trees ? warp_arena : std::span<float>{});
+      if (t == bw.token_begin || local_doc != p1_doc) {
+        p1_tree = IndexTreeView(p1_place.storage, kd, fanout);
+        s_mass = BuildP1Tree(p1_tree, theta_idx, theta_val, pstar.data());
+        p1_doc = local_doc;
+      }
+      local.compute_s.flops += 2 * kd;
+      if (cfg.reuse_pstar) {
+        local.compute_s.shared_read_bytes += kd * 4;
+      } else {
+        // p*(k) recomputed from φ/n_k for every non-zero.
+        local.compute_s.global_read_bytes += kd * phi_b;
+        local.compute_s.l1_read_bytes += kd * 4;
+        local.compute_s.flops += 2 * kd;
+      }
+      if (!cfg.share_p2_tree) {
+        // Without block-level sharing each token pays the p2 work.
+        local.compute_q.global_read_bytes += static_cast<uint64_t>(K) * phi_b;
+        local.compute_q.global_read_bytes += static_cast<uint64_t>(K) * 4;
+        local.compute_q.flops += 3ull * K;
+        local.sample_p2.flops += 2ull * K;
+        local.sample_p2.global_write_bytes += p2_slots * 4;
+      }
+
+      // The p1 tree build, billed at the device tree's full footprint.
+      local.sample_p1.flops += kd;
+      if (p1_place.in_shared) {
+        local.sample_p1.shared_write_bytes += p1_slots * 4;
+      } else {
+        local.sample_p1.global_write_bytes += p1_slots * 4;
+        ++local.p1_tree_spills;
+      }
+
+      // One uniform draw decides the bucket and is reused inside it
+      // (u | u < S is U(0, S)). The stream is keyed by the corpus-global
+      // token id, so draws are independent of the partition and schedule.
+      const uint64_t global_token = chunk.layout.token_global[t];
+      PhiloxStream rng(cfg.seed,
+                       (static_cast<uint64_t>(iteration) << 40) ^
+                           global_token);
+      const float total = s_mass + q_mass;
+      const float u = rng.NextFloat() * total;
+      local.compute_s.flops += 2;
+
+      uint32_t new_topic;
+      uint64_t inspected = 0;
+      if (u < s_mass) {
+        const size_t j = p1_tree.Search(u, &inspected);
+        new_topic = theta_idx[j];
+        local.sample_p1.flops += inspected;
+        if (p1_place.in_shared) {
+          local.sample_p1.shared_read_bytes += inspected * 4;
+        } else {
+          local.sample_p1.global_read_bytes += inspected * 4;
+        }
+        ++local.p1_branches;
+      } else {
+        const float u2 = std::min(u - s_mass, q_mass);
+        const size_t k = p2_tree.Search(u2, &inspected);
+        new_topic = static_cast<uint32_t>(k);
+        local.sample_p2.flops += inspected;
+        if (p2_in_shared) {
+          local.sample_p2.shared_read_bytes += inspected * 4;
+        } else {
+          local.sample_p2.global_read_bytes += inspected * 4;
+        }
+      }
+
+      chunk.z[t] = static_cast<uint16_t>(new_topic);
+      ctx.WriteGlobal(2);
+      ++local.tokens;
     }
 
     // Merge the per-step tallies into the block's billed counters.

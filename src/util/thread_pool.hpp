@@ -132,9 +132,12 @@ class ThreadPool {
   // --- Parallel-for front ends ---------------------------------------------
 
   /// Runs fn(i) for i in [0, n); blocks until all complete. Work is claimed
-  /// in contiguous chunks from per-domain counters (dynamic load balancing
-  /// with amortized synchronization, cross-socket stealing once the home
-  /// range is dry), and the caller participates. Exceptions from `fn` are
+  /// in contiguous chunks of ~n / (4 · threads) items from per-domain
+  /// counters (amortized synchronization, cross-socket stealing once the
+  /// home range is dry), and the caller participates. Contiguous chunks
+  /// balance only uniform items: sampling work lists are sorted
+  /// heaviest-first, so the first chunk of a launch carries most of its
+  /// tokens (71% on nytimes-tree). Exceptions from `fn` are
   /// rethrown on the caller (first one wins); with workers, every index
   /// still runs (inline mode propagates at the throwing index, as a plain
   /// loop would).

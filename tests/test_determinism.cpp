@@ -196,12 +196,18 @@ struct PinnedRun {
   std::vector<uint64_t> counters;
 };
 
-PinnedRun TrainPinned(const CuldaConfig& cfg, size_t workers) {
+corpus::SyntheticProfile PinnedProfile() {
   corpus::SyntheticProfile p;
   p.num_docs = 300;
   p.vocab_size = 400;
   p.avg_doc_length = 60;
-  const auto c = corpus::GenerateCorpus(p);
+  return p;
+}
+
+PinnedRun TrainPinned(const CuldaConfig& cfg,
+                      const corpus::SyntheticProfile& profile,
+                      size_t workers) {
+  const auto c = corpus::GenerateCorpus(profile);
   ThreadPool pool(workers);
   TrainerOptions opts;
   opts.gpus.assign(2, gpusim::V100Volta());
@@ -229,10 +235,11 @@ PinnedRun TrainPinned(const CuldaConfig& cfg, size_t workers) {
   return run;
 }
 
-void ExpectPinned(const CuldaConfig& cfg, const PinnedRun& want) {
+void ExpectPinned(const CuldaConfig& cfg, const PinnedRun& want,
+                  const corpus::SyntheticProfile& profile = PinnedProfile()) {
   for (const size_t workers : {size_t{0}, size_t{3}}) {
     SCOPED_TRACE(testing::Message() << "workers=" << workers);
-    const PinnedRun got = TrainPinned(cfg, workers);
+    const PinnedRun got = TrainPinned(cfg, profile, workers);
     EXPECT_EQ(got.z_fnv, want.z_fnv);
     EXPECT_EQ(got.sim_seconds, want.sim_seconds);  // bit-identical doubles
     EXPECT_EQ(got.counters, want.counters);
@@ -292,6 +299,60 @@ TEST(TreeSamplerPinned, NonPowerOfTwoFanout) {
        0, 0, 0, 861980, 14267448, 2581338,        // sample_p1
        0, 0, 0, 756988, 1189248, 580447,          // sample_p2
        29846, 0}};                                // p1_branches, p1_tree_spills
+  ExpectPinned(cfg, want);
+}
+
+/// Few words over long documents: a document repeats a word many times, so
+/// its run of tokens in a word block crosses the 3-warp stride and, at 7
+/// tokens per block, the boundary between blocks of the same word.
+TEST(TreeSamplerPinned, SameDocumentRuns) {
+  corpus::SyntheticProfile profile;
+  profile.num_docs = 200;
+  profile.vocab_size = 40;
+  profile.avg_doc_length = 200;
+  CuldaConfig cfg = PinnedConfig();
+  cfg.samplers_per_block = 3;
+  cfg.max_tokens_per_block = 7;
+  {
+    SCOPED_TRACE("shared trees");
+    const PinnedRun want{
+        3197569881245239268ull,
+        {0x1.43875f2e36f7ep-14, 0x1.3cb90cdd58d0ep-14, 0x1.394c177ac0ccep-14},
+        {36178920, 18089460, 0, 36178920, 0, 18315936,  // compute_s
+         3256200, 6512400, 0, 0, 0, 4884300,            // compute_q
+         0, 0, 0, 6300668, 37508888, 10619897,          // sample_p1
+         0, 0, 0, 1584336, 6772896, 3652284,            // sample_p2
+         91266, 0}};  // p1_branches, p1_tree_spills
+    ExpectPinned(cfg, want, profile);
+  }
+  cfg.use_shared_trees = false;
+  {
+    SCOPED_TRACE("spilled trees");
+    const PinnedRun want{
+        3197569881245239268ull,
+        {0x1.a4f229e22a5f7p-14, 0x1.96f58f6eaffd5p-14, 0x1.8fd479f3d655p-14},
+        {36178920, 18089460, 0, 36178920, 0, 18315936,  // compute_s
+         3256200, 6512400, 0, 0, 0, 4884300,            // compute_q
+         6300668, 0, 37508888, 0, 0, 10619897,          // sample_p1
+         0, 0, 0, 1584336, 6772896, 3652284,            // sample_p2
+         91266, 113238}};  // p1_branches, p1_tree_spills
+    ExpectPinned(cfg, want, profile);
+  }
+}
+
+/// The per-token billing of p* recomputation and of an unshared p2 tree.
+TEST(TreeSamplerPinned, AblationBranches) {
+  CuldaConfig cfg = PinnedConfig();
+  cfg.reuse_pstar = false;
+  cfg.share_p2_tree = false;
+  const PinnedRun want{
+      7985053579215119234ull,
+      {0x1.85ca8328c0a69p-14, 0x1.828a26348b027p-14, 0x1.80c663418ac78p-14},
+      {14195058, 14195058, 0, 0, 0, 9565600,    // compute_s
+       31059600, 782400, 0, 0, 0, 15921000,     // compute_q
+       0, 0, 0, 1871584, 9810648, 2833739,      // sample_p1
+       1532972, 0, 22077120, 0, 0, 10997243,    // sample_p2
+       29846, 0}};                              // p1_branches, p1_tree_spills
   ExpectPinned(cfg, want);
 }
 
