@@ -4,18 +4,24 @@
 // how fast the host executes the simulation, which is the quantity every
 // other bench's runtime is made of. It runs the same 4-simulated-GPU WS1
 // training across several ThreadPool sizes (0 = inline baseline), each both
-// unpinned and pinned (the topology-aware placement path), reports the
-// wall-clock speedup, verifies that the model state and the simulated
+// unpinned and pinned (the topology-aware placement path). Rows are labelled
+// by lanes — pool workers plus the calling thread, which also executes
+// work — and report the wall-clock speedup and the busy lanes (process CPU
+// seconds / wall seconds over the timed sweeps: how many lanes actually
+// ran, on average). It verifies that the model state and the simulated
 // timings are bit-identical across every (workers, placement) cell — the
 // determinism contract of the host-parallel execution path, and the only
 // reliable signal on 1-core hosts where speedup is unobservable — and emits
 // BENCH_host_throughput.json stamped with the detected topology so the
 // repo's perf trajectory is trackable run over run and across machines.
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <fstream>
 
 #include "common.hpp"
 #include "obs/sink.hpp"
+#include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 #include "util/topology.hpp"
 
@@ -25,11 +31,13 @@ namespace {
 
 struct HostRun {
   size_t workers = 0;
+  size_t lanes = 1;                 ///< workers + the calling thread
   bool pinned = false;              ///< requested --pin placement
   size_t pinned_workers = 0;        ///< how many the kernel actually pinned
   uint64_t steals = 0;              ///< cross-socket shard claims
   double wall_s_per_iter = 0;
   double wall_tokens_per_sec = 0;
+  double busy_lanes = 0;            ///< process CPU s / wall s, timed sweeps
   std::vector<double> sim_seconds;  ///< per-iteration, must be bit-identical
   uint64_t z_checksum = 0;
 };
@@ -40,6 +48,16 @@ uint64_t Fnv1a(const std::vector<uint16_t>& v) {
     h = (h ^ x) * 1099511628211ull;
   }
   return h;
+}
+
+/// User + system CPU seconds consumed by the whole process so far.
+double ProcessCpuSeconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + 1e-6 * tv.tv_usec;
+  };
+  return seconds(ru.ru_utime) + seconds(ru.ru_stime);
 }
 
 HostRun Run(const corpus::Corpus& corpus, const core::CuldaConfig& cfg,
@@ -55,17 +73,21 @@ HostRun Run(const corpus::Corpus& corpus, const core::CuldaConfig& cfg,
 
   HostRun run;
   run.workers = workers;
+  run.lanes = workers + 1;
   run.pinned = pin;
   run.pinned_workers = pool.pinned_worker_count();
   trainer.Step();  // warmup: first iteration pays cold caches
   double wall = 0;
   double wall_tok = 0;
+  const double cpu_before = ProcessCpuSeconds();
+  const Stopwatch timed;
   for (int i = 0; i < iters; ++i) {
     const auto st = trainer.Step();
     wall += st.wall_seconds;
     wall_tok += st.wall_tokens_per_sec;
     run.sim_seconds.push_back(st.sim_seconds);
   }
+  run.busy_lanes = (ProcessCpuSeconds() - cpu_before) / timed.Seconds();
   run.wall_s_per_iter = wall / iters;
   run.wall_tokens_per_sec = wall_tok / iters;
   run.z_checksum = Fnv1a(trainer.ExportAssignments());
@@ -79,8 +101,9 @@ int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   bench::PrintBanner(
       "Host throughput — wall-clock tokens/sec of the simulator",
-      "4 simulated GPUs, WS1, ThreadPool of 0/1/2/4 workers, pinned and "
-      "unpinned; model state and simulated times must not change.");
+      "4 simulated GPUs, WS1, 1/2/3/5 lanes (ThreadPool of 0/1/2/4 workers "
+      "+ the caller), pinned and unpinned; model state and simulated times "
+      "must not change.");
 
   const double scale = flags.GetDouble("scale", 0.5);
   const int iters = static_cast<int>(flags.GetInt("iters", 4));
@@ -107,9 +130,10 @@ int main(int argc, char** argv) {
       if (w == 0 && pin) continue;
       runs.push_back(Run(corpus, cfg, gpus, w, pin, iters));
       const HostRun& r = runs.back();
-      std::printf("workers=%zu%s: %.2f Mtok/s wall (%zu/%zu pinned)\n", w,
-                  pin ? " pinned" : "", r.wall_tokens_per_sec / 1e6,
-                  r.pinned_workers, w);
+      std::printf("lanes=%zu (workers=%zu)%s: %.2f Mtok/s wall, %.2f busy "
+                  "lanes (%zu/%zu pinned)\n",
+                  r.lanes, w, pin ? " pinned" : "", r.wall_tokens_per_sec / 1e6,
+                  r.busy_lanes, r.pinned_workers, w);
     }
   }
   std::printf("\n");
@@ -125,16 +149,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  TextTable table({"workers", "pinned", "ms/iter (wall)",
-                   "M tokens/s (wall)", "speedup vs 0"});
+  TextTable table({"lanes", "pinned", "ms/iter (wall)",
+                   "M tokens/s (wall)", "busy lanes", "speedup vs 1 lane"});
   const double base = runs[0].wall_s_per_iter;
   for (const HostRun& r : runs) {
-    table.AddRow({std::to_string(r.workers),
+    table.AddRow({std::to_string(r.lanes),
                   r.pinned ? std::to_string(r.pinned_workers) + "/" +
                                  std::to_string(r.workers)
                            : "-",
                   TextTable::Num(r.wall_s_per_iter * 1e3, 4),
                   TextTable::Num(r.wall_tokens_per_sec / 1e6, 4),
+                  TextTable::Num(r.busy_lanes, 3),
                   TextTable::Num(base / r.wall_s_per_iter, 3) + "x"});
   }
   table.Print();
@@ -161,12 +186,14 @@ int main(int argc, char** argv) {
        << "  \"runs\": [\n";
   for (size_t i = 0; i < runs.size(); ++i) {
     const HostRun& r = runs[i];
-    json << "    {\"workers\": " << r.workers << ", \"pinned\": "
+    json << "    {\"lanes\": " << r.lanes << ", \"workers\": " << r.workers
+         << ", \"pinned\": "
          << (r.pinned ? "true" : "false")
          << ", \"pinned_workers\": " << r.pinned_workers
          << ", \"steals\": " << r.steals
          << ", \"wall_seconds_per_iter\": " << r.wall_s_per_iter
          << ", \"wall_tokens_per_sec\": " << r.wall_tokens_per_sec
+         << ", \"busy_lanes\": " << r.busy_lanes
          << ", \"speedup_vs_inline\": " << base / r.wall_s_per_iter << "}"
          << (i + 1 < runs.size() ? "," : "") << "\n";
   }

@@ -38,8 +38,6 @@ thread_local SamplerScratch tl_scratch;
 struct UpdateThetaScratch {
   std::vector<int32_t> dense;     ///< K slots, all zero at rest
   std::vector<uint16_t> touched;  ///< topics hit by the current document
-  std::vector<uint16_t> idx;
-  std::vector<int32_t> val;
 };
 thread_local UpdateThetaScratch tl_theta_scratch;
 
@@ -594,11 +592,12 @@ gpusim::KernelRecord RunZeroPhiKernel(gpusim::Device& device,
       static_cast<uint32_t>(std::max<uint64_t>(1, cells / (1 << 16))), 1024,
       kStreamMemDerate};
   auto body = [&](gpusim::BlockContext& ctx) {
-    if (ctx.block_id() == 0) {
-      replica.phi.Fill(0);
-      std::fill(replica.nk.begin(), replica.nk.end(), 0);
-    }
-    // Billed evenly across blocks.
+    // Each block clears its share of the cells and of n_k, billed evenly.
+    const auto [first, last] = ctx.UniformSlice(cells);
+    const auto phi = replica.phi.flat();
+    std::fill(phi.begin() + first, phi.begin() + last, 0);
+    const auto [k_first, k_last] = ctx.UniformSlice(replica.nk.size());
+    std::fill(replica.nk.begin() + k_first, replica.nk.begin() + k_last, 0);
     ctx.WriteGlobal(cells * cfg.phi_count_bytes() / ctx.grid_dim());
   };
   return device.Launch("zero_phi", lc, body, stream);
@@ -640,38 +639,59 @@ gpusim::KernelRecord RunUpdatePhiKernel(gpusim::Device& device,
 
 namespace {
 
-/// Exact host-side θ rebuild from chunk.z (document order — the real
-/// kernel's two-pass count/scan/fill produces exactly this matrix). Walks a
-/// touched-topic list instead of scanning all K counters per document, so
-/// its cost is O(tokens + Σ_d k_d log k_d), not O(docs · K). Shared by the
-/// full and delta θ kernels, which differ only in billed traffic.
-void RebuildThetaFromZ(ChunkState& chunk, uint32_t K) {
+/// Counts document d's topics into scratch.dense, listing each distinct
+/// topic once in scratch.touched (first-seen order).
+void HistogramDocument(const ChunkState& chunk, uint64_t d,
+                       UpdateThetaScratch& scratch) {
+  scratch.touched.clear();
+  for (uint64_t i = chunk.layout.doc_map_offsets[d];
+       i < chunk.layout.doc_map_offsets[d + 1]; ++i) {
+    const uint16_t k = chunk.z[chunk.layout.doc_map[i]];
+    if (scratch.dense[k]++ == 0) scratch.touched.push_back(k);
+  }
+}
+
+/// Exact host-side θ rebuild from chunk.z, in the real kernel's two passes
+/// over the documents, both split across the device's pool: each row's
+/// length (its distinct topics), the scan that turns lengths into row
+/// offsets, then each row's topics (ascending) and counts, written into the
+/// chunk's CSR arrays, which keep their storage from sweep to sweep. Rows
+/// are disjoint and integer, so any split gives the same matrix. Shared by
+/// the full and delta θ kernels, which differ only in billed traffic.
+void RebuildThetaFromZ(gpusim::Device& device, ChunkState& chunk, uint32_t K) {
   const uint64_t num_docs = chunk.num_docs();
-  ThetaMatrix fresh(num_docs, K);
-  ThetaMatrix::RowBuilder builder(&fresh);
-  UpdateThetaScratch& scratch = tl_theta_scratch;
-  if (scratch.dense.size() < K) scratch.dense.assign(K, 0);
-  for (uint64_t d = 0; d < num_docs; ++d) {
-    scratch.touched.clear();
-    scratch.idx.clear();
-    scratch.val.clear();
-    for (uint64_t i = chunk.layout.doc_map_offsets[d];
-         i < chunk.layout.doc_map_offsets[d + 1]; ++i) {
-      const uint16_t k = chunk.z[chunk.layout.doc_map[i]];
-      if (scratch.dense[k]++ == 0) scratch.touched.push_back(k);
-    }
+  ThetaMatrix& theta = chunk.theta;
+  if (theta.rows() != num_docs || theta.cols() != K) {
+    theta = ThetaMatrix(num_docs, K);
+  }
+  auto scratch_for_thread = [K]() -> UpdateThetaScratch& {
+    UpdateThetaScratch& scratch = tl_theta_scratch;
+    if (scratch.dense.size() < K) scratch.dense.assign(K, 0);
+    return scratch;
+  };
+  const std::span<uint64_t> lengths = theta.RowLengthSlots();
+  ParallelFor(device.pool(), num_docs, [&](size_t d) {
+    UpdateThetaScratch& scratch = scratch_for_thread();
+    HistogramDocument(chunk, d, scratch);
+    for (const uint16_t k : scratch.touched) scratch.dense[k] = 0;
+    lengths[d] = scratch.touched.size();
+  });
+  theta.CommitRowLengths();
+  ParallelFor(device.pool(), num_docs, [&](size_t d) {
+    UpdateThetaScratch& scratch = scratch_for_thread();
+    HistogramDocument(chunk, d, scratch);
     // CSR rows store topics in ascending order; the touched list arrives
     // in first-seen order, so sort it (k_d is small — θ is sparse).
     std::sort(scratch.touched.begin(), scratch.touched.end());
-    for (const uint16_t k : scratch.touched) {
-      scratch.idx.push_back(k);
-      scratch.val.push_back(scratch.dense[k]);
+    const std::span<uint16_t> idx = theta.MutableRowIndices(d);
+    const std::span<int32_t> val = theta.MutableRowValues(d);
+    for (size_t j = 0; j < idx.size(); ++j) {
+      const uint16_t k = scratch.touched[j];
+      idx[j] = k;
+      val[j] = scratch.dense[k];
       scratch.dense[k] = 0;
     }
-    builder.AppendRow(d, scratch.idx, scratch.val);
-  }
-  builder.Finish();
-  chunk.theta = std::move(fresh);
+  });
 }
 
 }  // namespace
@@ -692,7 +712,7 @@ gpusim::KernelRecord RunUpdateThetaKernel(gpusim::Device& device,
   // dense-scatter + compaction kernel would move, using the rebuilt matrix's
   // true nnz (the *billed* traffic models the dense zero-and-scan the real
   // kernel performs, even though the host rebuild is sparse).
-  RebuildThetaFromZ(chunk, K);
+  RebuildThetaFromZ(device, chunk, K);
 
   const uint32_t grid =
       static_cast<uint32_t>(std::min<uint64_t>(num_docs, 4096));
@@ -741,7 +761,7 @@ gpusim::KernelRecord RunUpdateThetaDeltaKernel(
   // billed as the incremental kernel: each touched token reads its old and
   // new assignment and applies a −1/+1 atomic pair to its document's θ row,
   // no dense zero-and-scan of untouched documents.
-  RebuildThetaFromZ(chunk, K);
+  RebuildThetaFromZ(device, chunk, K);
 
   const uint32_t grid = static_cast<uint32_t>(
       std::min<uint64_t>(std::max<uint64_t>(1, touched_tokens / 1024), 4096));
@@ -768,9 +788,14 @@ gpusim::KernelRecord RunComputeNkKernel(gpusim::Device& device,
   const gpusim::LaunchConfig lc{std::max(1u, K / 4), 128,
                                 kStreamMemDerate};
   auto body = [&](gpusim::BlockContext& ctx) {
-    if (ctx.block_id() == 0) replica.RecomputeTotals();
-    const uint64_t rows_here = K / ctx.grid_dim() +
-                               (ctx.block_id() < K % ctx.grid_dim());
+    // Each block sums the φ rows it is billed for; the first K % grid
+    // blocks own one extra row.
+    const uint32_t base = K / ctx.grid_dim();
+    const uint32_t extra = K % ctx.grid_dim();
+    const uint64_t rows_here = base + (ctx.block_id() < extra);
+    const uint32_t first =
+        ctx.block_id() * base + std::min(ctx.block_id(), extra);
+    replica.RecomputeTotals(first, first + static_cast<uint32_t>(rows_here));
     ctx.ReadGlobal(rows_here * replica.vocab_size * cfg.phi_count_bytes());
     ctx.Flops(rows_here * replica.vocab_size);
     ctx.WriteGlobal(rows_here * 4);

@@ -59,8 +59,10 @@ struct PhiReplica {
 
   /// Recomputes n_k from φ (host-side reference; the kernel variant bills
   /// its traffic through the device).
-  void RecomputeTotals() {
-    for (uint32_t k = 0; k < num_topics; ++k) {
+  void RecomputeTotals() { RecomputeTotals(0, num_topics); }
+  /// Recomputes n_k for topics [k_first, k_last) only.
+  void RecomputeTotals(uint32_t k_first, uint32_t k_last) {
+    for (uint32_t k = k_first; k < k_last; ++k) {
       int64_t sum = 0;
       for (const uint16_t c : phi.Row(k)) sum += c;
       nk[k] = static_cast<int32_t>(sum);

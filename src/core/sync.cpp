@@ -1,6 +1,7 @@
 #include "core/sync.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <string>
 
 #include "util/check.hpp"
@@ -9,14 +10,17 @@ namespace culda::core {
 
 namespace {
 
-/// φ += other, element-wise, with overflow detection for the 16-bit counts
-/// (Section 6.1.3 argues 16 bits suffice; the check makes the claim
-/// falsifiable instead of silently wrapping).
-void AddReplica(PhiMatrix& into, const PhiMatrix& from) {
-  auto dst = into.flat();
+/// Cells per piece when the host splits a φ-sized add or copy over a pool.
+constexpr size_t kPieceCells = size_t{1} << 16;
+
+/// into[first, last) += from[first, last), with overflow detection for the
+/// 16-bit counts (Section 6.1.3 argues 16 bits suffice; the check makes the
+/// claim falsifiable instead of silently wrapping).
+void AddCells(PhiMatrix& into, const PhiMatrix& from, uint64_t first,
+              uint64_t last) {
+  const auto dst = into.flat();
   const auto src = from.flat();
-  CULDA_CHECK(dst.size() == src.size());
-  for (size_t i = 0; i < dst.size(); ++i) {
+  for (uint64_t i = first; i < last; ++i) {
     const uint32_t sum = static_cast<uint32_t>(dst[i]) + src[i];
     CULDA_CHECK_MSG(sum <= 0xFFFF,
                     "phi count overflowed 16 bits during reduce; "
@@ -25,20 +29,52 @@ void AddReplica(PhiMatrix& into, const PhiMatrix& from) {
   }
 }
 
-/// Bills the element-wise add kernel on `device`.
-void BillAddKernel(gpusim::Device& device, const CuldaConfig& cfg,
-                   uint64_t cells, gpusim::Stream* stream) {
+/// Runs fn(first, last) over pieces of [0, cells) on `pool`.
+void ForEachPiece(ThreadPool* pool, uint64_t cells,
+                  const std::function<void(uint64_t, uint64_t)>& fn) {
+  ParallelFor(pool, (cells + kPieceCells - 1) / kPieceCells, [&](size_t p) {
+    const uint64_t first = p * kPieceCells;
+    fn(first, std::min<uint64_t>(cells, first + kPieceCells));
+  });
+}
+
+/// into += from on the host (no kernel is billed), split over `pool`.
+void HostAdd(ThreadPool* pool, PhiMatrix& into, const PhiMatrix& from) {
+  CULDA_CHECK(into.flat().size() == from.flat().size());
+  ForEachPiece(pool, into.flat().size(), [&](uint64_t first, uint64_t last) {
+    AddCells(into, from, first, last);
+  });
+}
+
+/// into = from, element-wise, split over `pool` (same shape required).
+void HostCopy(ThreadPool* pool, PhiMatrix& into, const PhiMatrix& from) {
+  CULDA_CHECK(into.flat().size() == from.flat().size());
+  const auto dst = into.flat();
+  const auto src = from.flat();
+  ForEachPiece(pool, dst.size(), [&](uint64_t first, uint64_t last) {
+    std::copy(src.begin() + first, src.begin() + last, dst.begin() + first);
+  });
+}
+
+/// into += from as the element-wise add kernel on `device`: each block adds
+/// and bills its share of the cells (the last block also adds the
+/// remainder of the uneven split; billing stays the uniform share).
+void ReduceAddKernel(gpusim::Device& device, const CuldaConfig& cfg,
+                     PhiMatrix& into, const PhiMatrix& from) {
+  CULDA_CHECK(into.flat().size() == from.flat().size());
+  const uint64_t cells = into.flat().size();
   const uint64_t b = cfg.phi_count_bytes();
   device.Launch("phi_reduce_add",
                 {static_cast<uint32_t>(std::max<uint64_t>(1, cells >> 16)),
                  1024},
                 [&](gpusim::BlockContext& ctx) {
+                  const auto [first, last] = ctx.UniformSlice(cells);
+                  AddCells(into, from, first, last);
                   const uint64_t share = cells / ctx.grid_dim();
                   ctx.ReadGlobal(2 * share * b);
                   ctx.WriteGlobal(share * b);
                   ctx.IntOps(share);
-                },
-                stream);
+                });
 }
 
 }  // namespace
@@ -73,6 +109,7 @@ SyncStats SynchronizePhi(gpusim::DeviceGroup& group, const CuldaConfig& cfg,
                          replicas[0].vocab_size;
   const uint64_t bytes = cells * cfg.phi_count_bytes();
   const double start = group.Now();
+  ThreadPool* pool = group.device(0).pool();
 
   if (mode == SyncMode::kGpuTree) {
     // Pairwise reduce (Figure 4): round r combines replicas at distance
@@ -82,8 +119,8 @@ SyncStats SynchronizePhi(gpusim::DeviceGroup& group, const CuldaConfig& cfg,
       for (size_t i = 0; i + step < g_count; i += 2 * step) {
         group.PeerTransfer(i + step, i, bytes);
         stats.peer_bytes += bytes;
-        AddReplica(replicas[i].phi, replicas[i + step].phi);
-        BillAddKernel(group.device(i), cfg, cells, nullptr);
+        ReduceAddKernel(group.device(i), cfg, replicas[i].phi,
+                        replicas[i + step].phi);
       }
     }
     // Broadcast φ⁰ back out along the same tree, deepest distance first.
@@ -93,7 +130,7 @@ SyncStats SynchronizePhi(gpusim::DeviceGroup& group, const CuldaConfig& cfg,
       for (size_t i = 0; i + step < g_count; i += 2 * step) {
         group.PeerTransfer(i, i + step, bytes);
         stats.peer_bytes += bytes;
-        replicas[i + step].phi = replicas[i].phi;
+        HostCopy(pool, replicas[i + step].phi, replicas[i].phi);
       }
       if (step == 1) break;
     }
@@ -113,13 +150,13 @@ SyncStats SynchronizePhi(gpusim::DeviceGroup& group, const CuldaConfig& cfg,
       stats.host_bytes += bytes;
     }
     for (size_t i = 1; i < g_count; ++i) {
-      AddReplica(replicas[0].phi, replicas[i].phi);
+      HostAdd(pool, replicas[0].phi, replicas[i].phi);
     }
     const gpusim::DeviceSpec cpu = gpusim::XeonCpu();
     host_clock += static_cast<double>(g_count + 1) * bytes /
                   cpu.EffectiveBandwidthBps();
     for (size_t i = 0; i < g_count; ++i) {
-      if (i != 0) replicas[i].phi = replicas[0].phi;
+      if (i != 0) HostCopy(pool, replicas[i].phi, replicas[0].phi);
       gpusim::Device& dev = group.device(i);
       host_clock += dev.host_link().TransferSeconds(bytes);
       dev.stream(0).WaitUntil(host_clock);
@@ -190,14 +227,17 @@ MultiNodeSyncStats SynchronizePhiAcrossNodes(
   stats.inter_node_s = end - intra_end;
 
   // Functional inter-node sum: every node's first replica into node 0's.
+  ThreadPool* pool = node_groups[0].device(0).pool();
   PhiMatrix& global = replicas[0].phi;
   for (size_t n = 1; n < nodes; ++n) {
-    AddReplica(global, replicas[n * g_count].phi);
+    HostAdd(pool, global, replicas[n * g_count].phi);
   }
 
   // Install the global sum on every replica, align every device to `end`,
   // and bill one intra-node broadcast round over each node's peer link.
-  for (auto& replica : replicas.subspan(1)) replica.phi = global;
+  for (auto& replica : replicas.subspan(1)) {
+    HostCopy(pool, replica.phi, global);
+  }
   for (size_t n = 0; n < nodes; ++n) {
     for (size_t g = 0; g < g_count; ++g) {
       node_groups[n].device(g).stream(0).WaitUntil(end);

@@ -84,6 +84,10 @@ class Device : public MemoryLedger {
   const DeviceSpec& spec() const { return spec_; }
   int id() const { return device_id_; }
   const CostModel& cost_model() const { return cost_; }
+  /// The borrowed worker pool (null when blocks run on the caller). Host
+  /// work outside a launch — the θ rebuild, the φ sync's adds and copies —
+  /// splits over it too.
+  ThreadPool* pool() const { return pool_; }
 
   // --- Memory --------------------------------------------------------------
   template <typename T>

@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <utility>
 
 #include "gpusim/counters.hpp"
 #include "gpusim/shared_memory.hpp"
@@ -52,6 +53,15 @@ class BlockContext {
   uint32_t grid_dim() const { return cfg_.grid_dim; }
   uint32_t block_dim() const { return cfg_.block_dim; }
   uint32_t warp_count() const { return cfg_.block_dim / kWarpSize; }
+
+  /// This block's slice [first, second) of `n` items dealt n / grid_dim()
+  /// to each block, the last block also taking the remainder: the work
+  /// split of kernels that bill a uniform n / grid_dim() share per block.
+  std::pair<uint64_t, uint64_t> UniformSlice(uint64_t n) const {
+    const uint64_t share = n / grid_dim();
+    const uint64_t first = block_id_ * share;
+    return {first, block_id_ + 1 == grid_dim() ? n : first + share};
+  }
 
   SharedMemory& shared() { return *shared_; }
   KernelCounters& counters() { return counters_; }

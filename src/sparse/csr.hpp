@@ -96,6 +96,28 @@ class CsrMatrix {
     }
   }
 
+  /// In-place rebuild that keeps the allocated storage, for callers that
+  /// build rows concurrently: store row r's length in RowLengthSlots()[r]
+  /// (any order, any thread), call CommitRowLengths() once (the scan that
+  /// turns lengths into row_ptr, then a resize), then fill each row through
+  /// MutableRowIndices / MutableRowValues. Rows are disjoint, so any split
+  /// of the rows over threads yields the same matrix.
+  std::span<uint64_t> RowLengthSlots() { return {row_ptr_.data() + 1, rows_}; }
+  void CommitRowLengths() {
+    row_ptr_[0] = 0;
+    for (size_t r = 0; r < rows_; ++r) row_ptr_[r + 1] += row_ptr_[r];
+    col_idx_.resize(row_ptr_[rows_]);
+    values_.resize(row_ptr_[rows_]);
+  }
+  std::span<Idx> MutableRowIndices(size_t r) {
+    CULDA_DCHECK(r < rows_);
+    return {col_idx_.data() + row_ptr_[r], RowLength(r)};
+  }
+  std::span<Val> MutableRowValues(size_t r) {
+    CULDA_DCHECK(r < rows_);
+    return {values_.data() + row_ptr_[r], RowLength(r)};
+  }
+
   /// Replaces one row with the non-zeros of `dense` (length = cols()).
   /// Only valid when row lengths do not need to move other rows — i.e. when
   /// rebuilding rows in order into a fresh matrix; use RowBuilder below.

@@ -2,9 +2,10 @@
 //
 // gpusim uses it to execute the thread blocks of a kernel launch, the
 // trainer uses the same pool to run independent simulated GPUs concurrently
-// between sync points, and the serving tier fans documents out over it; on a
-// single-core host it degrades to sequential execution (the pool runs the
-// caller inline when it has zero workers).
+// between sync points and to split each sweep's tail (θ rebuild, φ
+// reduce/broadcast, φ zeroing, n_k) across lanes, and the serving tier fans
+// documents out over it; on a single-core host it degrades to sequential
+// execution (the pool runs the caller inline when it has zero workers).
 //
 // Placement (docs/parallelism.md): the pool discovers the effective CPU set
 // and NUMA layout through util/topology.hpp (or takes a caller-provided
@@ -196,5 +197,10 @@ class ThreadPool {
   std::atomic<std::thread::id> external_owner_{};
   std::vector<Arena> arenas_;  ///< worker_count()+1 slots, slot = id+1
 };
+
+/// pool->ParallelFor(n, fn), or a plain loop on the caller when `pool` is
+/// null (a gpusim::Device without a pool runs its host work inline).
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& fn);
 
 }  // namespace culda
